@@ -49,7 +49,6 @@ from .errors import (
 )
 from .estimators import (
     CalibratedWeights,
-    DesignWeights,
     EstimatorKind,
     design_weights,
     estimate_mean,
@@ -62,9 +61,6 @@ from .functionals import (
     VARIANCE,
     Functional,
     FunctionalKind,
-    g_eval,
-    g_grad,
-    h_transform,
     plug_in,
     population_value,
     regression_coef,
@@ -108,7 +104,6 @@ __all__ = [
     "CORRELATION",
     "DegenerateError",
     "DesignKind",
-    "DesignWeights",
     "DrawFailureError",
     "EnumerationTooLargeError",
     "EstimatorKind",
@@ -143,12 +138,9 @@ __all__ = [
     "estimate_mean",
     "exact_moments",
     "exact_vs_formula",
-    "g_eval",
-    "g_grad",
     "gamma_coeff",
     "generate_bivariate",
     "generate_univariate",
-    "h_transform",
     "inclusion_probabilities",
     "jackknife_bc",
     "load_csv",

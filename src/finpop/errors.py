@@ -6,7 +6,14 @@ catch library failures without swallowing programming errors.
 
 
 class FinpopError(Exception):
-    """Base class for all finpop errors."""
+    """Base class for all finpop errors; ``row`` is the position of the first
+    offending row of a row-wise evaluation (one row per leave-one-out sample)."""
+
+    row = 0
+
+    def at_row(self, row: int) -> "FinpopError":
+        self.row = row
+        return self
 
 
 class ParameterError(FinpopError, ValueError):

@@ -12,6 +12,10 @@ G_i/(N x_i) for RHC draws) and Xbar the known population mean of x:
   GREG            weighted-least-squares calibration on x with weights d_i
   PEML            sum_s c_i h_i, with c maximizing sum_s d_i log c_i subject
                   to sum c_i = 1 and sum c_i (x_i - Xbar) = 0
+
+``estimate_mean_rows`` evaluates them for each row of an (m, n) matrix of
+design weights, a zero weight leaving the unit out: ``estimate_mean`` is its
+one-row case, and the jackknife passes one row per left-out unit.
 """
 
 from __future__ import annotations
@@ -33,11 +37,11 @@ from .population import Population
 
 __all__ = [
     "EstimatorKind",
-    "DesignWeights",
     "CalibratedWeights",
     "valid_pair",
     "design_weights",
     "peml_weights",
+    "estimate_mean_rows",
     "estimate_mean",
 ]
 
@@ -55,16 +59,7 @@ class EstimatorKind(enum.Enum):
         return self.value
 
 
-_PI_KINDS = frozenset(
-    {
-        EstimatorKind.HT,
-        EstimatorKind.HAJEK,
-        EstimatorKind.RATIO,
-        EstimatorKind.PRODUCT,
-        EstimatorKind.GREG,
-        EstimatorKind.PEML,
-    }
-)
+_PI_KINDS = frozenset(EstimatorKind) - {EstimatorKind.RHC_EST}
 _RHC_KINDS = frozenset(
     {EstimatorKind.RHC_EST, EstimatorKind.GREG, EstimatorKind.PEML}
 )
@@ -77,56 +72,24 @@ def valid_pair(kind: EstimatorKind, design: DesignKind) -> bool:
     return kind in _PI_KINDS
 
 
-def _require_valid(kind: EstimatorKind, design: DesignKind) -> None:
-    if not valid_pair(kind, design):
-        raise CombinationError(
-            f"estimator {kind} is not defined under the {design} design"
-        )
-
-
-@dataclass(frozen=True)
-class DesignWeights:
-    """Per-sampled-unit design weights d(i,s); strictly positive and finite."""
-
-    d: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float).copy()
-        if d.ndim != 1 or d.size == 0:
-            raise ParameterError("weights must form a nonempty flat array")
-        if not np.all(np.isfinite(d)) or np.any(d <= 0):
-            raise ParameterError("design weights must be positive and finite")
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
-
-
 @dataclass(frozen=True)
 class CalibratedWeights:
-    """Positive weights summing to one and reproducing the known x mean."""
+    """PEML weights ``c``: per row nonnegative, summing to one and reproducing
+    the known x mean; a zero marks a unit left out of that row's problem."""
 
     c: np.ndarray
 
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float).copy()
-        if c.ndim != 1 or np.any(c <= 0) or not np.all(np.isfinite(c)):
-            raise ParameterError("calibrated weights must be positive and finite")
-        if abs(float(c.sum()) - 1.0) > 1e-8:
-            raise ParameterError("calibrated weights must sum to one")
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
 
-
-def design_weights(sample: SampleDraw, pop: Population) -> DesignWeights:
+def design_weights(sample: SampleDraw, pop: Population) -> np.ndarray:
     """d(i,s) = 1/(N pi_i) for pi-based draws, G_i/(N x_i) under RHC."""
     N = pop.n_units
     if sample.design.is_pi_based:
-        return DesignWeights(1.0 / (N * sample.pi))
-    x_s = pop.x[sample.indices]
-    return DesignWeights(sample.g_totals / (N * x_s))
+        return 1.0 / (N * sample.pi)
+    return sample.g_totals / (N * pop.x[sample.indices])
 
 
 def peml_weights(
-    d: DesignWeights | np.ndarray,
+    d: np.ndarray,
     x_sample: np.ndarray,
     x_bar: float,
     *,
@@ -135,80 +98,133 @@ def peml_weights(
 ) -> CalibratedWeights:
     """Maximize sum d_i log c_i subject to sum c = 1 and sum c (x - x_bar) = 0.
 
-    Reduces to a one-dimensional dual root: c_i = d~_i / (1 + lam u_i) with
-    u_i = x_i - x_bar and lam the unique zero of
-    psi(lam) = sum d~_i u_i / (1 + lam u_i) on the interval keeping every
+    ``d`` is (n,) or (m, n): each row is its own problem over the units it
+    weights positively (c is 0 where d is), and an error names its first
+    failing row as ``row``.  A row reduces to a one-dimensional dual root:
+    c_i = d~_i / (1 + lam u_i) with u_i = x_i - x_bar and lam the unique zero
+    of psi(lam) = sum d~_i u_i / (1 + lam u_i) on the interval keeping every
     denominator positive.  psi is strictly decreasing there, so a safeguarded
-    Newton iteration (bisection fallback inside the bracket) always converges.
+    Newton iteration (bisection fallback inside the bracket) always converges;
+    once |psi| is within the tolerance, a row stops at the first step that
+    fails to lower it.
     """
-    dv = d.d if isinstance(d, DesignWeights) else np.asarray(d, dtype=float)
+    dv = np.asarray(d, dtype=float)
     x_sample = np.asarray(x_sample, dtype=float)
-    if dv.shape != x_sample.shape or dv.ndim != 1:
+    w = dv[None, :] if dv.ndim == 1 else dv
+    if w.ndim != 2 or x_sample.ndim != 1 or w.shape[1] != x_sample.size:
         raise ParameterError("weights and sample x values must align")
-    if dv.size < 2:
+    if not (np.isfinite(w) & (w >= 0)).all():
+        raise ParameterError("weights must be nonnegative and finite")
+    inside = w > 0
+    if (inside.sum(axis=1) < 2).any():
         raise ParameterError("need at least two sampled units")
-    dt = dv / dv.sum()
-    u = x_sample - x_bar
-    u_scale = float(np.max(np.abs(u))) if u.size else 0.0
-
-    if u_scale == 0.0:
-        # every sampled x equals x_bar: the x constraint is vacuous
-        return CalibratedWeights(dt)
-    if not (u.min() < 0 < u.max()):
+    dt = w / w.sum(axis=1, keepdims=True)
+    # u is 0 outside a row's units, so they add nothing to its sums
+    u = np.where(inside, x_sample - x_bar, 0.0)
+    u_max, u_min = u.max(axis=1), u.min(axis=1)
+    u_scale = np.maximum(u_max, -u_min)
+    # a row whose sampled x all equal x_bar has a vacuous x constraint: lam = 0
+    solve = u_scale > 0
+    outside = solve & ((u_min >= 0) | (u_max <= 0))
+    if outside.any():
         raise InfeasibleError(
             "x_bar lies outside the open hull of the sampled x values; "
             "no positive calibrated weights exist"
-        )
+        ).at_row(int(outside.argmax()))
 
-    lo = -1.0 / u.max()  # psi -> +inf as lam -> lo+
-    hi = -1.0 / u.min()  # psi -> -inf as lam -> hi-
+    def psi(dt_a, u_a, lam):  # psi and -psi'
+        r = u_a / (1.0 + lam[:, None] * u_a)
+        q = dt_a * r
+        return np.add.reduce(q, axis=1), np.add.reduce(q * r, axis=1)
 
-    def psi(lam: float) -> tuple[float, float]:
-        den = 1.0 + lam * u
-        val = float(np.sum(dt * u / den))
-        slope = -float(np.sum(dt * u * u / (den * den)))
-        return val, slope
-
-    lam = 0.0
-    val, slope = psi(lam)
-    blo, bhi = lo, hi
-    target = tol * max(1.0, u_scale)
-    best_lam, best_val = lam, abs(val)
-    converged = abs(val) <= target
+    # the rows still iterating, compacted; the best iterate of each row is
+    # written back to best_lam / best_val when its row leaves
+    rows = np.flatnonzero(solve)
+    target = tol * np.maximum(1.0, u_scale)
+    best_lam, best_val = np.zeros(w.shape[0]), np.zeros(w.shape[0])
+    dt_a, u_a, tgt = dt[rows], u[rows], target[rows]
+    blo, bhi = -1.0 / u_max[rows], -1.0 / u_min[rows]
+    lam = np.zeros(rows.size)
+    val, curv = psi(dt_a, u_a, lam)
+    row_lam, row_val = lam.copy(), np.abs(val)
+    live = val != 0
     for _ in range(max_iter):
-        if val == 0.0:
+        if not live.all():
+            best_lam[rows], best_val[rows] = row_lam, row_val
+            rows, dt_a, u_a, tgt = rows[live], dt_a[live], u_a[live], tgt[live]
+            blo, bhi, lam, val = blo[live], bhi[live], lam[live], val[live]
+            curv, row_lam, row_val = curv[live], row_lam[live], row_val[live]
+        if not rows.size:
             break
-        if val > 0:
-            blo = lam
-        else:
-            bhi = lam
-        step = lam - val / slope if slope != 0 else np.nan
-        new_lam = step if blo < step < bhi else 0.5 * (blo + bhi)
-        if new_lam == lam:
-            break  # float fixpoint; no further progress possible
+        above = val > 0  # psi decreases: the root lies above lam
+        np.copyto(blo, lam, where=above)
+        np.copyto(bhi, lam, where=~above)
+        step = lam + val / curv
+        new_lam = np.where((blo < step) & (step < bhi), step, 0.5 * (blo + bhi))
+        moved = new_lam != lam  # else a float fixpoint: no further progress
         lam = new_lam
-        val, slope = psi(lam)
-        if abs(val) < best_val:
-            best_lam, best_val = lam, abs(val)
-        if abs(val) <= target:
-            converged = True
-            # keep polishing toward the float fixpoint so the weight
-            # constraints hold as tightly as the arithmetic allows
-    if not converged:
+        val, curv = psi(dt_a, u_a, lam)
+        abs_val = np.abs(val)
+        lowered = abs_val < row_val
+        np.copyto(row_lam, lam, where=lowered)
+        np.minimum(row_val, abs_val, out=row_val)
+        live = moved & (lowered | (row_val > tgt))
+    best_lam[rows], best_val[rows] = row_lam, row_val
+    unconverged = solve & (best_val > target)
+    if unconverged.any():
         raise ConvergenceError(
             f"calibration root search did not converge in {max_iter} iterations"
-        )
-    lam = best_lam
+        ).at_row(int(unconverged.argmax()))
 
-    c = dt / (1.0 + lam * u)
-    resid_sum = abs(float(c.sum()) - 1.0)
-    resid_x = abs(float(c @ x_sample) - x_bar) / max(1.0, abs(x_bar))
-    if resid_sum > 1e-10 or resid_x > 1e-10 or np.any(c <= 0):
+    c = dt / (1.0 + best_lam[:, None] * u)
+    resid_sum = np.abs(c.sum(axis=1) - 1.0)
+    resid_x = np.abs(c @ x_sample - x_bar) / max(1.0, abs(x_bar))
+    bad = (resid_sum > 1e-10) | (resid_x > 1e-10) | ((c > 0) != inside).any(axis=1)
+    if bad.any():
+        r = int(bad.argmax())
         raise ConvergenceError(
-            f"calibration residuals too large (sum: {resid_sum:.2e}, "
-            f"x: {resid_x:.2e})"
-        )
-    return CalibratedWeights(c)
+            f"calibration residuals too large (sum: {resid_sum[r]:.2e}, "
+            f"x: {resid_x[r]:.2e})"
+        ).at_row(r)
+    return CalibratedWeights(c if dv.ndim == 2 else c[0])
+
+
+def estimate_mean_rows(
+    kind: EstimatorKind,
+    weights: np.ndarray,
+    x_sample: np.ndarray,
+    x_bar: float,
+    h: np.ndarray,
+) -> np.ndarray:
+    """The (m, p) mean estimates of the columns of h (n, p), one row per row
+    of design weights (m, n); an undefined row raises with its position as
+    ``row``."""
+    dh = weights @ h
+    if kind in (EstimatorKind.HT, EstimatorKind.RHC_EST):
+        return dh
+    if kind is EstimatorKind.HAJEK:
+        return dh / weights.sum(axis=1)[:, None]
+    if kind is EstimatorKind.RATIO:
+        return dh / (weights @ x_sample)[:, None] * x_bar
+    if kind is EstimatorKind.PRODUCT:
+        return dh * (weights @ x_sample)[:, None] / x_bar
+    if kind is EstimatorKind.GREG:
+        dsum = weights.sum(axis=1)[:, None]
+        h_star = dh / dsum
+        x_star = (weights @ x_sample)[:, None] / dsum
+        xc = x_sample - x_star
+        # row-wise dot products, summed as a single row's ``d @ v`` sums
+        denom = (weights[:, None, :] @ (xc * xc)[:, :, None])[:, 0]
+        flat = denom[:, 0] <= 0
+        if flat.any():
+            raise DegenerateError(
+                "weighted x variance is zero; regression calibration undefined"
+            ).at_row(int(flat.argmax()))
+        beta = ((weights * xc)[:, None, :] @ (h - h_star[:, None, :]))[:, 0] / denom
+        return h_star + beta * (x_bar - x_star)
+    if kind is EstimatorKind.PEML:
+        return peml_weights(weights, x_sample, x_bar).c @ h
+    raise CombinationError(f"unknown estimator {kind}")  # pragma: no cover
 
 
 def estimate_mean(
@@ -222,7 +238,10 @@ def estimate_mean(
     ``h_values`` may be (n,) or (n, p); the estimate has matching shape
     (scalar or (p,)).  Each column is treated as its own study variable.
     """
-    _require_valid(kind, sample.design)
+    if not valid_pair(kind, sample.design):
+        raise CombinationError(
+            f"estimator {kind} is not defined under the {sample.design} design"
+        )
     h = np.asarray(h_values, dtype=float)
     scalar = h.ndim == 1
     if scalar:
@@ -230,35 +249,6 @@ def estimate_mean(
     if h.shape[0] != sample.n:
         raise ParameterError("h_values must have one row per sampled unit")
 
-    d = design_weights(sample, pop).d
-    x_s = pop.x[sample.indices]
-    x_bar = pop.x_bar()
-    dh = d @ h  # (p,)
-
-    if kind in (EstimatorKind.HT, EstimatorKind.RHC_EST):
-        est = dh
-    elif kind is EstimatorKind.HAJEK:
-        est = dh / d.sum()
-    elif kind is EstimatorKind.RATIO:
-        est = dh / (d @ x_s) * x_bar
-    elif kind is EstimatorKind.PRODUCT:
-        est = dh * (d @ x_s) / x_bar
-    elif kind is EstimatorKind.GREG:
-        dsum = d.sum()
-        h_star = dh / dsum
-        x_star = (d @ x_s) / dsum
-        xc = x_s - x_star
-        denom = d @ (xc * xc)
-        if denom <= 0:
-            raise DegenerateError(
-                "weighted x variance is zero; regression calibration undefined"
-            )
-        beta = ((d * xc) @ (h - h_star)) / denom
-        est = h_star + beta * (x_bar - x_star)
-    elif kind is EstimatorKind.PEML:
-        c = peml_weights(design_weights(sample, pop), x_s, x_bar).c
-        est = c @ h
-    else:  # pragma: no cover - exhaustive enum
-        raise CombinationError(f"unknown estimator {kind}")
-
+    d = design_weights(sample, pop)
+    est = estimate_mean_rows(kind, d[None, :], pop.x[sample.indices], pop.x_bar(), h)[0]
     return float(est[0]) if scalar else est

@@ -34,9 +34,6 @@ __all__ = [
     "VARIANCE",
     "CORRELATION",
     "regression_coef",
-    "h_transform",
-    "g_eval",
-    "g_grad",
     "plug_in",
     "population_value",
 ]
@@ -50,6 +47,14 @@ class FunctionalKind(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+_MOMENTS = {
+    FunctionalKind.MEAN: 1,
+    FunctionalKind.VARIANCE: 2,
+    FunctionalKind.CORRELATION: 5,
+    FunctionalKind.REGRESSION: 4,
+}
 
 
 @dataclass(frozen=True)
@@ -84,12 +89,7 @@ class Functional:
 
     @property
     def p(self) -> int:
-        return {
-            FunctionalKind.MEAN: 1,
-            FunctionalKind.VARIANCE: 2,
-            FunctionalKind.CORRELATION: 5,
-            FunctionalKind.REGRESSION: 4,
-        }[self.kind]
+        return _MOMENTS[self.kind]
 
     def h(self, rows: np.ndarray) -> np.ndarray:
         """Transform study rows (m, d) into moment rows (m, p)."""
@@ -111,28 +111,38 @@ class Functional:
         za, zb = y[:, self.of], y[:, self.on]
         return np.column_stack([za, zb, zb * zb, za * zb])
 
-    def g(self, s: np.ndarray) -> float:
+    def g(self, s: np.ndarray) -> float | np.ndarray:
+        """g at a moment vector (p,), or at each row of an (m, p) array.
+
+        A row where g is undefined raises with its position as ``row``.
+        """
         s = np.asarray(s, dtype=float)
-        if s.shape != (self.p,):
-            raise ParameterError(f"{self.kind} expects a length-{self.p} moment vector")
+        if s.ndim not in (1, 2) or s.shape[-1] != self.p:
+            raise ParameterError(f"{self.kind} expects length-{self.p} moment vectors")
+        c = s.T if s.ndim == 2 else s[:, None]  # one column per moment vector
+        # float_power is libm pow, as ``**`` squares a float scalar (grad_g);
+        # an array's ``** 2`` multiplies instead and can differ in the last bit
         if self.kind is FunctionalKind.MEAN:
-            return float(s[0])
-        if self.kind is FunctionalKind.VARIANCE:
-            return float(s[0] - s[1] ** 2)
-        if self.kind is FunctionalKind.CORRELATION:
-            v1 = s[2] - s[0] ** 2
-            v2 = s[3] - s[1] ** 2
-            if v1 <= 0 or v2 <= 0:
+            out = c[0].copy()
+        elif self.kind is FunctionalKind.VARIANCE:
+            out = c[0] - np.float_power(c[1], 2)
+        elif self.kind is FunctionalKind.CORRELATION:
+            v1 = c[2] - np.float_power(c[0], 2)
+            v2 = c[3] - np.float_power(c[1], 2)
+            bad = (v1 <= 0) | (v2 <= 0)
+            if bad.any():
                 raise UndefinedParameterError(
                     "correlation undefined: a variance term is not positive"
-                )
-            return float((s[4] - s[0] * s[1]) / np.sqrt(v1 * v2))
-        v = s[2] - s[1] ** 2
-        if v <= 0:
-            raise UndefinedParameterError(
-                "regression coefficient undefined: regressor variance not positive"
-            )
-        return float((s[3] - s[0] * s[1]) / v)
+                ).at_row(int(bad.argmax()))
+            out = (c[4] - c[0] * c[1]) / np.sqrt(v1 * v2)
+        else:
+            v = c[2] - np.float_power(c[1], 2)
+            if (v <= 0).any():
+                raise UndefinedParameterError(
+                    "regression coefficient undefined: regressor variance not positive"
+                ).at_row(int((v <= 0).argmax()))
+            out = (c[3] - c[0] * c[1]) / v
+        return out if s.ndim == 2 else float(out[0])
 
     def grad_g(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -184,18 +194,6 @@ CORRELATION = Functional(FunctionalKind.CORRELATION)
 def regression_coef(of: int = 0, on: int = 1) -> Functional:
     """Slope of coordinate ``of`` regressed on coordinate ``on``."""
     return Functional(FunctionalKind.REGRESSION, of=of, on=on)
-
-
-def h_transform(f: Functional, rows: np.ndarray) -> np.ndarray:
-    return f.h(rows)
-
-
-def g_eval(f: Functional, s: np.ndarray) -> float:
-    return f.g(s)
-
-
-def g_grad(f: Functional, s: np.ndarray) -> np.ndarray:
-    return f.grad_g(s)
 
 
 _RATIO_SAFE = frozenset({EstimatorKind.HAJEK, EstimatorKind.PEML})

@@ -14,12 +14,15 @@ A level-q interval is then  point +- z * sqrt(variance / n).
 
 ``jackknife_bc`` computes  n g - (n-1) mean of leave-one-out g's, each
 leave-one-out estimate keeping the remaining units' original design weights
-(self-normalizing estimators renormalize on their own).
+(self-normalizing estimators renormalize on their own).  All n come from one
+row-wise estimator pass over the (n, n) matrix of design weights with its
+diagonal zeroed, under pi-based and RHC draws alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import stats
@@ -33,7 +36,13 @@ from .errors import (
     JackknifeFailureError,
     ParameterError,
 )
-from .estimators import EstimatorKind, estimate_mean
+from .estimators import (
+    EstimatorKind,
+    design_weights,
+    estimate_mean,
+    estimate_mean_rows,
+    valid_pair,
+)
 from .functionals import Functional, FunctionalKind, plug_in
 from .population import Population
 
@@ -46,13 +55,6 @@ __all__ = [
     "confidence_interval",
     "jackknife_bc",
 ]
-
-_PI_VAR_KINDS = frozenset(
-    {EstimatorKind.HT, EstimatorKind.HAJEK, EstimatorKind.GREG, EstimatorKind.PEML}
-)
-_RHC_VAR_KINDS = frozenset(
-    {EstimatorKind.RHC_EST, EstimatorKind.GREG, EstimatorKind.PEML}
-)
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ def variance_est_pi(
     """
     if not sample.design.is_pi_based:
         raise CombinationError("this variance estimator requires a pi-based draw")
-    if kind not in _PI_VAR_KINDS:
+    if not supports_variance_estimate(kind, sample):
         raise CombinationError(f"no pi-design variance estimator for {kind}")
     N = pop.n_units
     n = sample.n
@@ -142,7 +144,7 @@ def variance_est_rhc(
     """
     if sample.design.is_pi_based:
         raise CombinationError("this variance estimator requires an RHC draw")
-    if kind not in _RHC_VAR_KINDS:
+    if not supports_variance_estimate(kind, sample):
         raise CombinationError(f"no RHC variance estimator for {kind}")
     N = pop.n_units
     n = sample.n
@@ -175,11 +177,11 @@ def variance_est_rhc(
 
 
 def supports_variance_estimate(kind: EstimatorKind, sample_or_design) -> bool:
-    """Whether a plug-in variance estimator exists for this pair."""
+    """Whether a plug-in variance estimator exists for this pair: for every
+    valid pair but the ratio and product estimators."""
     design = getattr(sample_or_design, "design", sample_or_design)
-    if design.is_pi_based:
-        return kind in _PI_VAR_KINDS
-    return kind in _RHC_VAR_KINDS
+    no_variance = (EstimatorKind.RATIO, EstimatorKind.PRODUCT)
+    return valid_pair(kind, design) and kind not in no_variance
 
 
 def variance_estimate(
@@ -201,10 +203,16 @@ def confidence_interval(
         raise ParameterError("variance estimate cannot be negative")
     if n < 1:
         raise ParameterError("n must be positive")
-    z = float(stats.norm.ppf(0.5 * (1.0 + level)))
     return ConfidenceInterval(
-        center=float(point), half_width=z * float(np.sqrt(var_est / n)), level=level
+        center=float(point), half_width=_z(level) * float(np.sqrt(var_est / n)),
+        level=level,
     )
+
+
+@lru_cache(maxsize=16)
+def _z(level: float) -> float:
+    """The standard normal quantile at (1 + level) / 2."""
+    return float(stats.norm.ppf(0.5 * (1.0 + level)))
 
 
 def jackknife_bc(
@@ -213,21 +221,30 @@ def jackknife_bc(
     """Bias-corrected estimate  n g - (n-1) mean over i of g on the sample
     without unit i.
 
-    Exact for estimators linear in the per-unit terms; any undefined
-    leave-one-out estimate aborts with the offending unit.
+    Row i of the weight matrix is the design weights with unit i's set to 0,
+    so one row-wise estimator pass gives all n leave-one-out estimates.
+    Exact for estimators linear in the per-unit terms; an undefined
+    leave-one-out estimate aborts with the offending unit (the first by
+    sample position).
     """
     n = sample.n
     if n < 3:
         raise ParameterError("jackknifing needs at least 3 sampled units")
     full = plug_in(f, kind, sample, pop)
-    loo_sum = 0.0
-    for i in range(n):
+    weights = np.where(np.eye(n, dtype=bool), 0.0, design_weights(sample, pop))
+    x_s = pop.x[sample.indices]
+    h = f.h(pop.y[sample.indices])
+    stop, failure = n, None
+    while stop:
         try:
-            loo_sum += plug_in(f, kind, sample.drop(i), pop)
+            loo = f.g(estimate_mean_rows(kind, weights[:stop], x_s, pop.x_bar(), h))
+            break
         except FinpopError as exc:
-            raise JackknifeFailureError(
-                f"leave-one-out estimate undefined without unit "
-                f"{int(sample.indices[i])}: {exc}",
-                unit=int(sample.indices[i]),
-            ) from exc
-    return n * full - (n - 1) * loo_sum / n
+            # a row before the failing one may fail a later check, so search
+            # the rows before it for the first failure
+            stop, failure = exc.row, exc
+    if failure is not None:
+        unit = int(sample.indices[stop])
+        message = f"leave-one-out estimate undefined without unit {unit}: {failure}"
+        raise JackknifeFailureError(message, unit=unit) from failure
+    return n * full - (n - 1) * float(loo.sum()) / n

@@ -38,7 +38,8 @@ class Population:
     """A finite population: size values ``x`` (N,) and study values ``y`` (N, d).
 
     Immutable after construction; the arrays are marked read-only so a
-    population can be shared freely across threads.
+    population can be shared freely across threads, and the mean and total of
+    x are computed once.
     """
 
     x: np.ndarray
@@ -70,6 +71,8 @@ class Population:
         y.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_x_bar", float(x.mean()))
+        object.__setattr__(self, "_x_total", float(x.sum()))
 
     @property
     def n_units(self) -> int:
@@ -80,10 +83,10 @@ class Population:
         return self.y.shape[1]
 
     def x_bar(self) -> float:
-        return float(self.x.mean())
+        return self._x_bar
 
     def x_total(self) -> float:
-        return float(self.x.sum())
+        return self._x_total
 
 
 def _as_coords(value, name: str) -> np.ndarray:

@@ -32,20 +32,20 @@ class TestDesignWeights:
     def test_srswor(self):
         pop = Population(x=np.ones(10) + np.arange(10) * 0.1, y=np.zeros(10))
         s = draw(DesignKind.SRSWOR, pop, 5, np.random.default_rng(0))
-        np.testing.assert_allclose(design_weights(s, pop).d, 0.2)
+        np.testing.assert_allclose(design_weights(s, pop), 0.2)
 
     def test_rao_sampford_units(self, pop4):
         s = SampleDraw(
             DesignKind.RAO_SAMPFORD, np.array([1, 3]), pi=np.array([0.4, 0.8])
         )
-        np.testing.assert_allclose(design_weights(s, pop4).d, [0.625, 0.3125])
+        np.testing.assert_allclose(design_weights(s, pop4), [0.625, 0.3125])
 
     def test_rhc_unit(self):
         pop = Population(x=np.array([2.0, 1.0, 3.0, 2.0, 2.0]), y=np.zeros(5))
         s = SampleDraw(
             DesignKind.RHC, np.array([0, 2]), g_totals=np.array([7.0, 3.0])
         )
-        d = design_weights(s, pop).d
+        d = design_weights(s, pop)
         assert d[0] == pytest.approx(7.0 / (5 * 2.0))  # = 0.7
 
 
@@ -241,6 +241,48 @@ class TestPemlWeights:
             assert np.all(c > 0)
             assert abs(c.sum() - 1.0) < 1e-8
             assert abs(c @ x - x_bar) < 1e-8 * max(1.0, abs(x_bar))
+
+
+class TestPemlRows:
+    def random_problem(self, rng):
+        """Shared sampled x, an x_bar inside their hull (often within 1e-9 of
+        an edge) and m weight rows, each over a random subset of the units
+        that still straddles x_bar."""
+        n = int(rng.integers(3, 40))
+        m = int(rng.integers(1, 12))
+        x = rng.gamma(4.0, 250.0, size=n)
+        lo, hi = x.min(), x.max()
+        gap = (hi - lo) * 10.0 ** -rng.choice([1, 3, 6, 9])
+        x_bar = (lo + gap, hi - gap, rng.uniform(lo, hi))[int(rng.integers(3))]
+        below, above = np.flatnonzero(x < x_bar), np.flatnonzero(x > x_bar)
+        w = rng.uniform(0.1, 2.0, size=(m, n)) * (rng.random((m, n)) < 0.7)
+        for row in w:
+            row[rng.choice(below)] = rng.uniform(0.1, 2.0)
+            row[rng.choice(above)] = rng.uniform(0.1, 2.0)
+        return w, x, x_bar
+
+    def test_rows_match_separate_solves(self):
+        rng = np.random.default_rng(11)
+        problems = 0
+        while problems < 1000:
+            w, x, x_bar = self.random_problem(rng)
+            c = peml_weights(w, x, x_bar).c
+            assert c.shape == w.shape
+            assert np.all(c[w == 0] == 0) and np.all(c[w > 0] > 0)
+            assert np.all(np.abs(c.sum(axis=1) - 1.0) <= 1e-12)
+            assert np.all(np.abs(c @ x - x_bar) <= 1e-12 * x_bar)
+            for row, c_row in zip(w, c):
+                units = row > 0
+                alone = peml_weights(row[units], x[units], x_bar).c
+                np.testing.assert_allclose(c_row[units], alone, rtol=1e-12, atol=0)
+            problems += len(w)
+
+    def test_error_names_the_first_failing_row(self):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        w = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 1], [0, 1, 1, 0.0]])
+        with pytest.raises(InfeasibleError) as err:
+            peml_weights(w, x, 2.5)
+        assert err.value.row == 1
 
 
 class TestPemlGregConvergence:

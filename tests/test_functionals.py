@@ -13,9 +13,6 @@ from finpop import (
     VARIANCE,
     draw,
     estimate_mean,
-    g_eval,
-    g_grad,
-    h_transform,
     plug_in,
     population_value,
     regression_coef,
@@ -28,51 +25,51 @@ ALL_FUNCTIONALS = [MEAN, VARIANCE, CORRELATION, regression_coef(0, 1), regressio
 
 class TestTransform:
     def test_variance_h(self):
-        np.testing.assert_allclose(h_transform(VARIANCE, np.array([3.0])), [[9.0, 3.0]])
+        np.testing.assert_allclose(VARIANCE.h(np.array([3.0])), [[9.0, 3.0]])
 
     def test_correlation_h(self):
         np.testing.assert_allclose(
-            h_transform(CORRELATION, np.array([[2.0, -1.0]])),
+            CORRELATION.h(np.array([[2.0, -1.0]])),
             [[2.0, -1.0, 4.0, 1.0, -2.0]],
         )
 
     def test_regression_h(self):
         np.testing.assert_allclose(
-            h_transform(regression_coef(0, 1), np.array([[2.0, 3.0]])),
+            regression_coef(0, 1).h(np.array([[2.0, 3.0]])),
             [[2.0, 3.0, 9.0, 6.0]],
         )
         # swapped roles square the other coordinate
         np.testing.assert_allclose(
-            h_transform(regression_coef(1, 0), np.array([[2.0, 3.0]])),
+            regression_coef(1, 0).h(np.array([[2.0, 3.0]])),
             [[3.0, 2.0, 4.0, 6.0]],
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
-            h_transform(CORRELATION, np.array([1.0, 2.0]))
+            CORRELATION.h(np.array([1.0, 2.0]))
         with pytest.raises(ParameterError):
-            h_transform(MEAN, np.array([[1.0, 2.0]]))
+            MEAN.h(np.array([[1.0, 2.0]]))
 
 
 class TestGAndGradient:
     def test_variance_g_and_grad(self):
-        assert g_eval(VARIANCE, np.array([5.0, 2.0])) == pytest.approx(1.0)
-        np.testing.assert_allclose(g_grad(VARIANCE, np.array([5.0, 2.0])), [1.0, -4.0])
+        assert VARIANCE.g(np.array([5.0, 2.0])) == pytest.approx(1.0)
+        np.testing.assert_allclose(VARIANCE.grad_g(np.array([5.0, 2.0])), [1.0, -4.0])
 
     def test_correlation_of_exactly_linear_moments(self):
         # moments of z2 = 3 + 2 z1 for z1 in {0,1,2}
         z1 = np.array([0.0, 1.0, 2.0])
         z2 = 3.0 + 2.0 * z1
-        s = h_transform(CORRELATION, np.column_stack([z1, z2])).mean(axis=0)
-        assert g_eval(CORRELATION, s) == pytest.approx(1.0, abs=1e-12)
+        s = CORRELATION.h(np.column_stack([z1, z2])).mean(axis=0)
+        assert CORRELATION.g(s) == pytest.approx(1.0, abs=1e-12)
 
     def test_undefined_variance_terms(self):
         with pytest.raises(UndefinedParameterError):
-            g_eval(CORRELATION, np.array([1.0, 0.0, 1.0, 1.0, 0.5]))  # s3 - s1^2 = 0
+            CORRELATION.g(np.array([1.0, 0.0, 1.0, 1.0, 0.5]))  # s3 - s1^2 = 0
         with pytest.raises(UndefinedParameterError):
-            g_eval(regression_coef(0, 1), np.array([0.0, 1.0, 1.0, 0.5]))
+            regression_coef(0, 1).g(np.array([0.0, 1.0, 1.0, 0.5]))
         with pytest.raises(UndefinedParameterError):
-            g_grad(CORRELATION, np.array([1.0, 0.0, 1.0, 1.0, 0.5]))
+            CORRELATION.grad_g(np.array([1.0, 0.0, 1.0, 1.0, 0.5]))
 
     @pytest.mark.parametrize(
         "f,s",
@@ -86,12 +83,12 @@ class TestGAndGradient:
         ],
     )
     def test_gradient_matches_central_differences(self, f, s):
-        grad = g_grad(f, s)
+        grad = f.grad_g(s)
         step = 1e-6
         for j in range(s.size):
             e = np.zeros_like(s)
             e[j] = step
-            fd = (g_eval(f, s + e) - g_eval(f, s - e)) / (2 * step)
+            fd = (f.g(s + e) - f.g(s - e)) / (2 * step)
             assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from finpop import (
+    CORRELATION,
     CombinationError,
     DegenerateError,
     DesignKind,
     EstimatorKind,
+    FinpopError,
     JackknifeFailureError,
     MEAN,
     ParameterError,
@@ -13,13 +15,18 @@ from finpop import (
     SampleDraw,
     VARIANCE,
     confidence_interval,
+    design_weights,
     draw,
     empirical_mse,
+    estimate_mean,
     jackknife_bc,
     plug_in,
+    regression_coef,
+    valid_pair,
     variance_est_pi,
     variance_est_rhc,
 )
+from finpop.estimators import estimate_mean_rows
 from conftest import random_population
 from test_estimators import srswor_sample
 
@@ -199,3 +206,92 @@ class TestJackknife:
         with pytest.raises(JackknifeFailureError) as err:
             jackknife_bc(s, pop, MEAN, EstimatorKind.PEML)
         assert err.value.unit == 2
+        assert loo_reference(s, pop, MEAN, EstimatorKind.PEML)[2] == 2
+
+
+def loo_reference(sample, pop, f, kind):
+    """The leave-one-out loop: per sample position, the mean vector and the
+    plug-in on the sample without that unit; or, where the plug-in is first
+    undefined, that unit."""
+    means, values = [], []
+    for i in range(sample.n):
+        s_i = sample.drop(i)
+        try:
+            means.append(estimate_mean(kind, s_i, pop, f.h(pop.y[s_i.indices])))
+            values.append(plug_in(f, kind, s_i, pop))
+        except FinpopError:
+            return None, None, int(sample.indices[i])
+    return np.array(means).reshape(sample.n, -1), np.array(values), None
+
+
+def jackknife_triples():
+    """Every (design, estimator, functional) the jackknife accepts."""
+    for design in DesignKind:
+        for kind in EstimatorKind:
+            if not valid_pair(kind, design):
+                continue
+            for f in (MEAN, VARIANCE):
+                yield design, kind, f
+            if kind in (EstimatorKind.HAJEK, EstimatorKind.PEML):
+                for f in (CORRELATION, regression_coef(0, 1), regression_coef(1, 0)):
+                    yield design, kind, f
+
+
+class TestClosedFormJackknife:
+    @pytest.mark.parametrize(
+        "design,kind,f", list(jackknife_triples()),
+        ids=lambda v: getattr(v, "value", None) or getattr(v, "name", None),
+    )
+    def test_matches_the_leave_one_out_loop(
+        self, design, kind, f, benchmark_pop, benchmark_pop_biv
+    ):
+        pop = benchmark_pop if f.d == 1 else benchmark_pop_biv
+        rng = np.random.default_rng(46)
+        for n in (10, 75):
+            for _ in range(3):
+                s = draw(design, pop, n, rng)
+                ref_means, ref, failed_unit = loo_reference(s, pop, f, kind)
+                if failed_unit is not None:  # e.g. x_bar outside a PEML hull
+                    with pytest.raises(JackknifeFailureError) as err:
+                        jackknife_bc(s, pop, f, kind)
+                    assert err.value.unit == failed_unit
+                    continue
+                weights = np.where(np.eye(n, dtype=bool), 0.0, design_weights(s, pop))
+                means = estimate_mean_rows(
+                    kind, weights, pop.x[s.indices], pop.x_bar(), f.h(pop.y[s.indices])
+                )
+                np.testing.assert_allclose(means, ref_means, rtol=1e-12, atol=0)
+                # the variance s0 - s1^2 cancels, so it is held to 1e-12 of s0
+                scale = ref_means[:, 0] if f is VARIANCE else np.abs(ref)
+                assert np.all(np.abs(f.g(means) - ref) <= 1e-12 * scale)
+                full = plug_in(f, kind, s, pop)
+                ref_bc = n * full - (n - 1) * ref.mean()
+                bc = jackknife_bc(s, pop, f, kind)
+                assert bc == pytest.approx(ref_bc, rel=1e-12, abs=1e-12 * n * scale.max())
+
+    def assert_same_failure(self, s, pop, f, kind, unit):
+        assert loo_reference(s, pop, f, kind)[2] == unit
+        with pytest.raises(JackknifeFailureError) as err:
+            jackknife_bc(s, pop, f, kind)
+        assert err.value.unit == unit
+
+    def test_degenerate_greg_names_the_loop_unit(self):
+        # without unit 4 the remaining x are all 2: no regression calibration
+        pop = Population(x=np.array([2.0, 2.0, 3.0, 1.0, 5.0, 2.0]), y=np.arange(6.0))
+        s = srswor_sample(pop, [0, 4, 5])
+        self.assert_same_failure(s, pop, MEAN, EstimatorKind.GREG, unit=4)
+
+    def test_undefined_correlation_names_the_first_unit(self):
+        # without unit 3 (position 1) z2 is 0 on every remaining unit; without
+        # unit 1 (position 3) the hull of x excludes x_bar = 10.  The loop
+        # stops at position 1; the batched PEML pass meets the infeasible
+        # row first (the estimator runs before g) and must still name unit 3.
+        x = np.array([1.0, 50.0, 2.0, 3.0, 2.0, 2.0])
+        z = np.array([[1.0, 0.0], [5.0, 0.0], [0.0, 0.0],
+                      [2.0, 4.0], [0.0, 0.0], [3.0, 0.0]])
+        pop = Population(x=x, y=z)
+        s = srswor_sample(pop, [0, 3, 5, 1])
+        for kind in (EstimatorKind.HAJEK, EstimatorKind.PEML):
+            assert np.isfinite(plug_in(CORRELATION, kind, s, pop))
+        self.assert_same_failure(s, pop, CORRELATION, EstimatorKind.HAJEK, unit=3)
+        self.assert_same_failure(s, pop, CORRELATION, EstimatorKind.PEML, unit=3)

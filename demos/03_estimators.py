@@ -44,7 +44,7 @@ for design in (DesignKind.SRSWOR, DesignKind.RAO_SAMPFORD, DesignKind.RHC):
 
 s = draw(DesignKind.SRSWOR, pop, 6, rng)
 d = design_weights(s, pop)
-c = peml_weights(d, pop.x[s.indices], pop.x_bar()).c
+c = peml_weights(d, pop.x[s.indices], pop.x_bar())
 print("calibrated weights on a 6-unit draw:")
 print("  x sampled:", np.array2string(pop.x[s.indices], precision=1))
 print("  weights:  ", np.array2string(c, precision=4))

@@ -48,7 +48,6 @@ from .errors import (
     UnsupportedQueryError,
 )
 from .estimators import (
-    CalibratedWeights,
     EstimatorKind,
     design_weights,
     estimate_mean,
@@ -96,7 +95,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticContext",
-    "CalibratedWeights",
     "Cell",
     "CombinationError",
     "ConfidenceInterval",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import DesignKind, rhc_group_sizes
+from .designs import DesignKind, _check_n, rhc_group_sizes
 from .errors import CombinationError, DegenerateError, ParameterError, UndefinedParameterError
 from .estimators import EstimatorKind, valid_pair
 from .functionals import Functional
@@ -62,10 +62,7 @@ class AsymptoticContext:
 
     @classmethod
     def compute(cls, pop: Population, f: Functional, n: int) -> "AsymptoticContext":
-        if not 2 <= n < pop.n_units:
-            raise ParameterError(
-                f"sample size must satisfy 2 <= n < N, got n={n}, N={pop.n_units}"
-            )
+        _check_n(pop, n)
         h = f.h(pop.y)
         grad = f.grad_g(h.mean(axis=0))
         w = h @ grad

@@ -33,7 +33,6 @@ from .functionals import (
     CORRELATION,
     MEAN,
     VARIANCE,
-    Functional,
     regression_coef,
 )
 from .montecarlo import Cell, ExperimentConfig, ExperimentReport, run_experiment
@@ -80,30 +79,13 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _parse_functional(name: str) -> Functional:
+def _lookup(what: str, choices: dict, name: str):
+    """The entry of ``choices`` named ``name``; a usage error names the choices."""
     try:
-        return _FUNCTIONALS[name]
+        return choices[name]
     except KeyError:
         raise _UsageError(
-            f"unknown functional {name!r}; choose from {sorted(_FUNCTIONALS)}"
-        ) from None
-
-
-def _parse_design(name: str) -> DesignKind:
-    try:
-        return _DESIGNS[name]
-    except KeyError:
-        raise _UsageError(
-            f"unknown design {name!r}; choose from {sorted(_DESIGNS)}"
-        ) from None
-
-
-def _parse_estimator(name: str) -> EstimatorKind:
-    try:
-        return _ESTIMATORS[name]
-    except KeyError:
-        raise _UsageError(
-            f"unknown estimator {name!r}; choose from {sorted(_ESTIMATORS)}"
+            f"unknown {what} {name!r}; choose from {sorted(choices)}"
         ) from None
 
 
@@ -211,9 +193,9 @@ def _config_cell(node: dict) -> Cell:
         if key not in node:
             raise _UsageError(f"cell is missing field {key!r}")
     return Cell(
-        design=_parse_design(node["design"]),
-        estimator=_parse_estimator(node["estimator"]),
-        functional=_parse_functional(node["functional"]),
+        design=_lookup("design", _DESIGNS, node["design"]),
+        estimator=_lookup("estimator", _ESTIMATORS, node["estimator"]),
+        functional=_lookup("functional", _FUNCTIONALS, node["functional"]),
     )
 
 
@@ -307,7 +289,7 @@ def _write_report_csvs(report: ExperimentReport, out_dir: Path, jackknife: bool)
 
 def _cmd_run(args) -> int:
     cfg = _parse_config(args.config)
-    report = run_experiment(cfg, threads=args.threads)
+    report = run_experiment(cfg)
     _write_report_csvs(report, Path(args.out_dir), cfg.jackknife)
     print(report.summary())
     print(f"\nwrote mse.csv, re.csv, ci.csv to {args.out_dir}")
@@ -319,9 +301,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_exact(args) -> int:
     pop = _load_pop(args)
-    design = _parse_design(args.design)
-    kind = _parse_estimator(args.estimator)
-    f = _parse_functional(args.functional)
+    design = _lookup("design", _DESIGNS, args.design)
+    kind = _lookup("estimator", _ESTIMATORS, args.estimator)
+    f = _lookup("functional", _FUNCTIONALS, args.functional)
     if not valid_pair(kind, design):
         raise _UsageError(f"estimator {kind} is not valid under design {design}")
     summary = exact_moments(design, pop, args.n, kind, f)
@@ -342,7 +324,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_asy(args) -> int:
     pop = _load_pop(args)
-    f = _parse_functional(args.functional)
+    f = _lookup("functional", _FUNCTIONALS, args.functional)
     ctx = AsymptoticContext.compute(pop, f, args.n)
     print(f"N={pop.n_units} n={args.n} lambda={_fmt(ctx.lambda_hat)}")
     print(f"gamma = {_fmt(ctx.gamma)}   n*gamma = {_fmt(args.n * ctx.gamma)}")
@@ -387,7 +369,6 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="run a Monte Carlo benchmark")
     run.add_argument("--config", required=True)
     run.add_argument("--out-dir", default=".")
-    run.add_argument("--threads", type=int, default=1)
     run.set_defaults(func=_cmd_run)
 
     exact = sub.add_parser("exact", help="exact design moments on a tiny population")

@@ -21,7 +21,6 @@ one-row case, and the jackknife passes one row per left-out unit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .population import Population
 
 __all__ = [
     "EstimatorKind",
-    "CalibratedWeights",
     "valid_pair",
     "design_weights",
     "peml_weights",
@@ -72,14 +70,6 @@ def valid_pair(kind: EstimatorKind, design: DesignKind) -> bool:
     return kind in _PI_KINDS
 
 
-@dataclass(frozen=True)
-class CalibratedWeights:
-    """PEML weights ``c``: per row nonnegative, summing to one and reproducing
-    the known x mean; a zero marks a unit left out of that row's problem."""
-
-    c: np.ndarray
-
-
 def design_weights(sample: SampleDraw, pop: Population) -> np.ndarray:
     """d(i,s) = 1/(N pi_i) for pi-based draws, G_i/(N x_i) under RHC."""
     N = pop.n_units
@@ -95,12 +85,13 @@ def peml_weights(
     *,
     tol: float = 1e-12,
     max_iter: int = 200,
-) -> CalibratedWeights:
+) -> np.ndarray:
     """Maximize sum d_i log c_i subject to sum c = 1 and sum c (x - x_bar) = 0.
 
-    ``d`` is (n,) or (m, n): each row is its own problem over the units it
-    weights positively (c is 0 where d is), and an error names its first
-    failing row as ``row``.  A row reduces to a one-dimensional dual root:
+    ``d`` is (n,) or (m, n), and so are the weights c returned: each row is
+    its own problem over the units it weights positively (c is 0 where d is),
+    and an error names its first failing row as ``row``.  A row reduces to a
+    one-dimensional dual root:
     c_i = d~_i / (1 + lam u_i) with u_i = x_i - x_bar and lam the unique zero
     of psi(lam) = sum d~_i u_i / (1 + lam u_i) on the interval keeping every
     denominator positive.  psi is strictly decreasing there, so a safeguarded
@@ -186,7 +177,7 @@ def peml_weights(
             f"calibration residuals too large (sum: {resid_sum[r]:.2e}, "
             f"x: {resid_x[r]:.2e})"
         ).at_row(r)
-    return CalibratedWeights(c if dv.ndim == 2 else c[0])
+    return c if dv.ndim == 2 else c[0]
 
 
 def estimate_mean_rows(
@@ -223,7 +214,7 @@ def estimate_mean_rows(
         beta = ((weights * xc)[:, None, :] @ (h - h_star[:, None, :]))[:, 0] / denom
         return h_star + beta * (x_bar - x_star)
     if kind is EstimatorKind.PEML:
-        return peml_weights(weights, x_sample, x_bar).c @ h
+        return peml_weights(weights, x_sample, x_bar) @ h
     raise CombinationError(f"unknown estimator {kind}")  # pragma: no cover
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import stats
 
 from .asymptotics import gamma_coeff
-from .designs import SampleDraw
+from .designs import DesignKind, SampleDraw
 from .errors import (
     CombinationError,
     DegenerateError,
@@ -97,7 +97,7 @@ def variance_est_pi(
     """
     if not sample.design.is_pi_based:
         raise CombinationError("this variance estimator requires a pi-based draw")
-    if not supports_variance_estimate(kind, sample):
+    if not supports_variance_estimate(kind, sample.design):
         raise CombinationError(f"no pi-design variance estimator for {kind}")
     N = pop.n_units
     n = sample.n
@@ -144,7 +144,7 @@ def variance_est_rhc(
     """
     if sample.design.is_pi_based:
         raise CombinationError("this variance estimator requires an RHC draw")
-    if not supports_variance_estimate(kind, sample):
+    if not supports_variance_estimate(kind, sample.design):
         raise CombinationError(f"no RHC variance estimator for {kind}")
     N = pop.n_units
     n = sample.n
@@ -176,10 +176,9 @@ def variance_est_rhc(
     return float(n * gam * x_bar / N * np.sum(a * a * g_tot / (x_s * x_s)))
 
 
-def supports_variance_estimate(kind: EstimatorKind, sample_or_design) -> bool:
+def supports_variance_estimate(kind: EstimatorKind, design: DesignKind) -> bool:
     """Whether a plug-in variance estimator exists for this pair: for every
     valid pair but the ratio and product estimators."""
-    design = getattr(sample_or_design, "design", sample_or_design)
     no_variance = (EstimatorKind.RATIO, EstimatorKind.PRODUCT)
     return valid_pair(kind, design) and kind not in no_variance
 

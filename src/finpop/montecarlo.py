@@ -5,7 +5,7 @@ Every replicate draws one sample per design present in the grid, from a
 dedicated random substream derived by mixing (seed, sample size, design id,
 replicate index) through ``numpy.random.SeedSequence``; all cells sharing a
 design evaluate the identical draw.  Reports are therefore pure functions of
-the configuration, independent of execution order or worker count.
+the configuration, independent of execution order.
 
 Replicates where an estimate is undefined (infeasible calibration, undefined
 correlation, ...) are dropped from that cell's moments and counted as
@@ -14,16 +14,15 @@ failures instead of propagating NaNs into the ratios.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import nan
 
 import numpy as np
 
-from .designs import DesignKind, draw
+from .designs import DesignKind, SampleDraw, _check_n, draw, inclusion_probabilities
 from .errors import FinpopError, ParameterError
 from .estimators import EstimatorKind, valid_pair
-from .functionals import Functional, FunctionalKind, plug_in, population_value
+from .functionals import _RATIO_SAFE, Functional, FunctionalKind, plug_in, population_value
 from .inference import (
     confidence_interval,
     jackknife_bc,
@@ -99,10 +98,8 @@ class ExperimentConfig:
             raise ParameterError("seed must be a nonnegative integer")
         if not 0 < self.ci_level < 1:
             raise ParameterError("ci_level must lie strictly between 0 and 1")
-        N = self.population.n_units
         for n in self.sample_sizes:
-            if not 2 <= n < N:
-                raise ParameterError(f"sample size {n} invalid for N={N}")
+            _check_n(self.population, n)
         for cell in self.cells:
             if not valid_pair(cell.estimator, cell.design):
                 raise ParameterError(
@@ -111,7 +108,7 @@ class ExperimentConfig:
             if cell.functional.kind in (
                 FunctionalKind.CORRELATION,
                 FunctionalKind.REGRESSION,
-            ) and cell.estimator not in (EstimatorKind.HAJEK, EstimatorKind.PEML):
+            ) and cell.estimator not in _RATIO_SAFE:
                 raise ParameterError(
                     f"invalid cell {cell.label()}: this functional requires the "
                     "Hajek or PEML estimator"
@@ -127,6 +124,11 @@ class ExperimentConfig:
             for a, b in self.re_pairs:
                 if not (0 <= a < len(self.cells) and 0 <= b < len(self.cells)):
                     raise ParameterError("re_pairs must index cells")
+        # an infeasible Rao-Sampford size raises InfeasibleError here, before
+        # any replicate runs, instead of from the draw mid-run
+        if any(c.design is DesignKind.RAO_SAMPFORD for c in self.cells):
+            for n in self.sample_sizes:
+                inclusion_probabilities(DesignKind.RAO_SAMPFORD, self.population, n)
 
 
 def empirical_mse(estimates, truth: float) -> float:
@@ -235,6 +237,10 @@ def _replicate_rng(seed: int, n: int, design: DesignKind, replicate: int):
 
 @dataclass
 class _Accumulator:
+    """One cell's outcomes at one sample size, added in replicate order."""
+
+    cell: Cell
+    truth: float
     estimates: list[float] = field(default_factory=list)
     failures: int = 0
     lengths: list[float] = field(default_factory=list)
@@ -242,132 +248,92 @@ class _Accumulator:
     bc_estimates: list[float] = field(default_factory=list)
     bc_failures: int = 0
 
-
-def _run_one_replicate(
-    cfg: ExperimentConfig,
-    n: int,
-    replicate: int,
-    designs_needed: list[DesignKind],
-    truths: list[float],
-) -> list[tuple[float | None, tuple[float, bool] | None, float | None]]:
-    """One replicate: per cell (estimate | None, (ci length, covered) | None,
-    bias-corrected estimate | None)."""
-    pop = cfg.population
-    draws = {
-        design: draw(design, pop, n, _replicate_rng(cfg.seed, n, design, replicate))
-        for design in designs_needed
-    }
-    out = []
-    for cell, truth in zip(cfg.cells, truths):
-        sample = draws[cell.design]
+    def add(self, cfg: ExperimentConfig, sample: SampleDraw, n: int) -> None:
+        """Evaluate the cell on one draw: the estimate, its interval when a
+        variance estimator exists, and the jackknife when asked for.  An
+        undefined estimate counts against the estimate and the jackknife."""
+        pop, cell = cfg.population, self.cell
         try:
             est = plug_in(cell.functional, cell.estimator, sample, pop)
         except FinpopError:
-            out.append((None, None, None))
-            continue
-        ci_info = None
+            self.failures += 1
+            self.bc_failures += 1  # reported only when jackknifing
+            return
+        self.estimates.append(est)
         if supports_variance_estimate(cell.estimator, cell.design):
             try:
                 var = variance_estimate(sample, pop, cell.functional, cell.estimator)
                 ci = confidence_interval(est, max(var, 0.0), n, cfg.ci_level)
-                ci_info = (ci.length, ci.contains(truth))
             except FinpopError:
-                ci_info = None
-        bc = None
+                pass
+            else:
+                self.lengths.append(ci.length)
+                self.covered += ci.contains(self.truth)
         if cfg.jackknife:
             try:
                 bc = jackknife_bc(sample, pop, cell.functional, cell.estimator)
             except FinpopError:
-                bc = None
-        out.append((est, ci_info, bc))
-    return out
+                self.bc_failures += 1
+            else:
+                self.bc_estimates.append(bc)
+
+    def result(self, cfg: ExperimentConfig, n: int) -> CellResult:
+        truth = self.truth
+        n_ok = len(self.estimates)
+        ci_count = len(self.lengths)
+        result = CellResult(
+            cell=self.cell,
+            n=n,
+            truth=truth,
+            replicates=cfg.replicates,
+            failures=self.failures,
+            mean_estimate=float(np.mean(self.estimates)) if n_ok else nan,
+            mse=empirical_mse(self.estimates, truth) if n_ok else nan,
+            ci_count=ci_count,
+            coverage=self.covered / ci_count if ci_count else nan,
+            ci_mean_length=float(np.mean(self.lengths)) if ci_count else nan,
+            ci_sd_length=float(np.std(self.lengths, ddof=1)) if ci_count > 1 else nan,
+        )
+        if cfg.jackknife:
+            bc = self.bc_estimates
+            result.bc_failures = self.bc_failures
+            result.bc_mean = float(np.mean(bc)) if bc else nan
+            result.bc_mse = empirical_mse(bc, truth) if bc else nan
+        return result
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full replicate grid and assemble the report.
 
-    ``threads`` caps concurrent replicate evaluation; the report is identical
-    for any value because every replicate owns an independent substream and
-    results are reduced in replicate order.
+    For each sample size, every replicate draws once per design from its own
+    substream, and each cell adds its outcome on that draw to its own
+    accumulator, so cells see their draws in replicate order.
     """
     pop = cfg.population
     designs_needed = list(dict.fromkeys(c.design for c in cfg.cells))
-    truths = {c: population_value(c.functional, pop) for c in cfg.cells}
-    truths_list = [truths[c] for c in cfg.cells]
+    truths = [population_value(c.functional, pop) for c in cfg.cells]
+    if cfg.re_pairs is not None:
+        pairs = list(cfg.re_pairs)
+    elif cfg.baseline is not None:
+        pairs = [(cfg.baseline, j) for j in range(len(cfg.cells)) if j != cfg.baseline]
+    else:
+        pairs = []
     report = ExperimentReport(seed=cfg.seed, replicates=cfg.replicates)
 
     for n in cfg.sample_sizes:
-        accs = {cell: _Accumulator() for cell in cfg.cells}
+        accs = [_Accumulator(cell, truth) for cell, truth in zip(cfg.cells, truths)]
+        for r in range(cfg.replicates):
+            draws = {
+                design: draw(design, pop, n, _replicate_rng(cfg.seed, n, design, r))
+                for design in designs_needed
+            }
+            for acc in accs:
+                acc.add(cfg, draws[acc.cell.design], n)
+        results = [acc.result(cfg, n) for acc in accs]
+        report.cells.extend(results)
 
-        def task(replicate: int):
-            return _run_one_replicate(cfg, n, replicate, designs_needed, truths_list)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                all_results = list(pool.map(task, range(cfg.replicates)))
-        else:
-            all_results = [task(r) for r in range(cfg.replicates)]
-
-        for per_cell in all_results:
-            for cell, (est, ci_info, bc) in zip(cfg.cells, per_cell):
-                acc = accs[cell]
-                if est is None:
-                    acc.failures += 1
-                else:
-                    acc.estimates.append(est)
-                if ci_info is not None:
-                    acc.lengths.append(ci_info[0])
-                    acc.covered += bool(ci_info[1])
-                if cfg.jackknife:
-                    if bc is None:
-                        acc.bc_failures += 1
-                    else:
-                        acc.bc_estimates.append(bc)
-
-        for cell in cfg.cells:
-            acc = accs[cell]
-            truth = truths[cell]
-            n_ok = len(acc.estimates)
-            ci_count = len(acc.lengths)
-            result = CellResult(
-                cell=cell,
-                n=n,
-                truth=truth,
-                replicates=cfg.replicates,
-                failures=acc.failures,
-                mean_estimate=float(np.mean(acc.estimates)) if n_ok else nan,
-                mse=empirical_mse(acc.estimates, truth) if n_ok else nan,
-                ci_count=ci_count,
-                coverage=acc.covered / ci_count if ci_count else nan,
-                ci_mean_length=float(np.mean(acc.lengths)) if ci_count else nan,
-                ci_sd_length=(
-                    float(np.std(acc.lengths, ddof=1)) if ci_count > 1 else nan
-                ),
-            )
-            if cfg.jackknife:
-                result.bc_failures = acc.bc_failures
-                result.bc_mean = (
-                    float(np.mean(acc.bc_estimates)) if acc.bc_estimates else nan
-                )
-                result.bc_mse = (
-                    empirical_mse(acc.bc_estimates, truth)
-                    if acc.bc_estimates
-                    else nan
-                )
-            report.cells.append(result)
-
-        pairs: list[tuple[int, int]] = []
-        if cfg.re_pairs is not None:
-            pairs = list(cfg.re_pairs)
-        elif cfg.baseline is not None:
-            pairs = [
-                (cfg.baseline, j)
-                for j in range(len(cfg.cells))
-                if j != cfg.baseline
-            ]
         for a, b in pairs:
-            mse_a = report.result_for(cfg.cells[a], n).mse
-            mse_b = report.result_for(cfg.cells[b], n).mse
+            mse_a, mse_b = results[a].mse, results[b].mse
             if not (np.isfinite(mse_a) and np.isfinite(mse_b)) or mse_a <= 0:
                 value = nan
             else:

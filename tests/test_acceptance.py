@@ -154,7 +154,7 @@ def test_criterion_04_peml_correctness():
         span = x.max() - x.min()
         x_bar = rng.uniform(x.min() + 0.02 * span, x.max() - 0.02 * span)
         d = rng.uniform(0.1, 2.0, size=n)
-        c = peml_weights(d, x, x_bar).c
+        c = peml_weights(d, x, x_bar)
         assert np.all(c > 0)
         assert abs(c.sum() - 1.0) < 1e-8
         assert abs(c @ x - x_bar) < 1e-8 * max(1.0, abs(x_bar))

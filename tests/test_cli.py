@@ -152,14 +152,34 @@ class TestRun:
         for name in ("mse.csv", "re.csv", "ci.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path, capsys):
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path)
-        out_a = tmp_path / "t1"
-        out_b = tmp_path / "t4"
-        run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(out_a))
-        run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(out_b),
-                "--threads", "4")
-        assert (out_a / "mse.csv").read_bytes() == (out_b / "mse.csv").read_bytes()
+        code, _, err = run_cli(
+            capsys, "run", "--config", str(cfg), "--out-dir", str(tmp_path / "t"),
+            "--threads", "4",
+        )
+        assert code == 1
+        assert "--threads" in err
+        assert not (tmp_path / "t").exists()
+
+    def test_infeasible_rao_sampford_exits_2(self, tmp_path, capsys):
+        # n = 3 puts n x_i / sum(x) >= 1 for the large unit; n = 2 is feasible
+        pop_csv = tmp_path / "pop.csv"
+        rows = "".join(f"{x},{i}.0\n" for i, x in enumerate([1.0] * 8 + [5.0]))
+        pop_csv.write_text("x,y\n" + rows, encoding="utf-8")
+        cfg = self.make_config(
+            tmp_path,
+            population={"csv": str(pop_csv), "y_columns": ["y"]},
+            cells=[{"design": "rs", "estimator": "ht", "functional": "mean"}],
+            sample_sizes=[2, 3],
+        )
+        out_dir = tmp_path / "rs"
+        code, _, err = run_cli(
+            capsys, "run", "--config", str(cfg), "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert "infeasible" in err
+        assert not out_dir.exists()
 
     def test_unknown_config_field_exits_1(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path, bogus_field=1)

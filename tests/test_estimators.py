@@ -173,14 +173,14 @@ class TestClosedForms:
 class TestPemlWeights:
     def test_lambda_zero_when_constraint_already_met(self):
         # symmetric sample around x_bar with uniform weights: c = d~
-        c = peml_weights(np.array([0.5, 0.5]), np.array([1.0, 3.0]), 2.0).c
+        c = peml_weights(np.array([0.5, 0.5]), np.array([1.0, 3.0]), 2.0)
         np.testing.assert_allclose(c, [0.5, 0.5], atol=1e-14)
 
     def test_n2_fully_determined(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             d = rng.uniform(0.1, 2.0, size=2)
-            c = peml_weights(d, np.array([2.0, 6.0]), 3.0).c
+            c = peml_weights(d, np.array([2.0, 6.0]), 3.0)
             np.testing.assert_allclose(c, [0.75, 0.25], atol=1e-12)
 
     def test_n3_against_grid_oracle(self):
@@ -195,7 +195,7 @@ class TestPemlWeights:
         expected = d / (1 + lam_star * u)
         expected /= expected.sum()
 
-        c = peml_weights(d, x, x_bar).c
+        c = peml_weights(d, x, x_bar)
         np.testing.assert_allclose(c, expected, atol=1e-5)
         assert abs(c.sum() - 1) < 1e-10
         assert abs(c @ x - x_bar) < 1e-10
@@ -204,7 +204,7 @@ class TestPemlWeights:
         x = np.array([1.0, 2.0, 4.0])
         x_bar = 2.5
         d = np.ones(3) / 3
-        c = peml_weights(d, x, x_bar).c
+        c = peml_weights(d, x, x_bar)
         objective = d @ np.log(c)
         rng = np.random.default_rng(7)
         # feasible perturbations live in the null space of [1; x]
@@ -224,7 +224,7 @@ class TestPemlWeights:
             peml_weights(np.ones(3) / 3, np.array([1.0, 2.0, 3.0]), 1.0)
 
     def test_all_x_equal_mean(self):
-        c = peml_weights(np.array([0.3, 0.7]), np.array([2.0, 2.0]), 2.0).c
+        c = peml_weights(np.array([0.3, 0.7]), np.array([2.0, 2.0]), 2.0)
         np.testing.assert_allclose(c, [0.3, 0.7])
 
     def test_invariants_on_random_samples(self):
@@ -237,7 +237,7 @@ class TestPemlWeights:
                 continue
             x_bar = rng.uniform(lo + 1e-3, hi - 1e-3)
             d = rng.uniform(0.1, 1.0, size=n)
-            c = peml_weights(d, x, x_bar).c
+            c = peml_weights(d, x, x_bar)
             assert np.all(c > 0)
             assert abs(c.sum() - 1.0) < 1e-8
             assert abs(c @ x - x_bar) < 1e-8 * max(1.0, abs(x_bar))
@@ -266,14 +266,14 @@ class TestPemlRows:
         problems = 0
         while problems < 1000:
             w, x, x_bar = self.random_problem(rng)
-            c = peml_weights(w, x, x_bar).c
+            c = peml_weights(w, x, x_bar)
             assert c.shape == w.shape
             assert np.all(c[w == 0] == 0) and np.all(c[w > 0] > 0)
             assert np.all(np.abs(c.sum(axis=1) - 1.0) <= 1e-12)
             assert np.all(np.abs(c @ x - x_bar) <= 1e-12 * x_bar)
             for row, c_row in zip(w, c):
                 units = row > 0
-                alone = peml_weights(row[units], x[units], x_bar).c
+                alone = peml_weights(row[units], x[units], x_bar)
                 np.testing.assert_allclose(c_row[units], alone, rtol=1e-12, atol=0)
             problems += len(w)
 

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from finpop import (
+    CORRELATION,
     Cell,
     DesignKind,
     EstimatorKind,
     ExperimentConfig,
+    InfeasibleError,
     MEAN,
     ParameterError,
     Population,
@@ -72,7 +74,7 @@ class TestRunExperiment:
         assert res.mse == pytest.approx((est - truth) ** 2, rel=1e-12)
         assert res.mean_estimate == pytest.approx(est, rel=1e-12)
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         pop = small_pop()
         cells = (
             mean_cell(DesignKind.SRSWOR, EstimatorKind.PEML),
@@ -84,13 +86,39 @@ class TestRunExperiment:
         )
         a = run_experiment(cfg)
         b = run_experiment(cfg)
-        c = run_experiment(cfg, threads=4)
-        for r_a, r_b, r_c in zip(a.cells, b.cells, c.cells):
-            assert r_a.mse == r_b.mse == r_c.mse
-            assert r_a.mean_estimate == r_b.mean_estimate == r_c.mean_estimate
-            assert r_a.ci_mean_length == r_b.ci_mean_length == r_c.ci_mean_length
-        for e_a, e_c in zip(a.relative_efficiencies, c.relative_efficiencies):
-            assert e_a.value == e_c.value
+        for r_a, r_b in zip(a.cells, b.cells):
+            assert r_a.mse == r_b.mse
+            assert r_a.mean_estimate == r_b.mean_estimate
+            assert r_a.ci_mean_length == r_b.ci_mean_length
+        for e_a, e_b in zip(a.relative_efficiencies, b.relative_efficiencies):
+            assert e_a.value == e_b.value
+
+    def test_cell_result_independent_of_other_cells_and_sizes(self):
+        # each (seed, n, design, replicate) owns its substream, so a cell's
+        # result does not depend on what else the grid holds
+        pop = small_pop()
+        cell = Cell(DesignKind.RAO_SAMPFORD, EstimatorKind.HAJEK, VARIANCE)
+        others = (
+            mean_cell(DesignKind.SRSWOR, EstimatorKind.PEML),
+            mean_cell(DesignKind.RHC, EstimatorKind.GREG),
+            mean_cell(DesignKind.LMS, EstimatorKind.HT),
+        )
+
+        def result(cells, sizes):
+            cfg = ExperimentConfig(
+                population=pop, cells=cells, sample_sizes=sizes, replicates=30,
+                seed=44, jackknife=True,
+            )
+            return run_experiment(cfg).result_for(cell, 6)
+
+        alone = result((cell,), (6,))
+        # no NaN field, so == compares every statistic bit for bit
+        assert alone.failures < 30 and alone.ci_count > 1 and alone.bc_failures < 30
+        for beside in (
+            result(others[:1] + (cell,) + others[1:], (4, 6, 8)),
+            result((cell,) + others, (8, 6)),
+        ):
+            assert beside == alone
 
     def test_cells_share_design_draws(self):
         pop = small_pop()
@@ -213,3 +241,25 @@ class TestRunExperiment:
                 cells=(Cell(DesignKind.SRSWOR, EstimatorKind.HT, MEAN),),
                 sample_sizes=(5,), replicates=10, seed=-1,
             )
+        # correlation and regression need the Hajek or PEML plug-in
+        y2 = np.column_stack([pop.y[:, 0], pop.x * pop.y[:, 0]])
+        with pytest.raises(ParameterError, match="Hajek or PEML"):
+            ExperimentConfig(
+                population=Population(x=pop.x, y=y2),
+                cells=(Cell(DesignKind.SRSWOR, EstimatorKind.HT, CORRELATION),),
+                sample_sizes=(5,), replicates=10, seed=1,
+            )
+
+    def test_infeasible_rao_sampford_size_fails_validation(self):
+        # n = 2 is feasible, but n = 3 puts n x_i / sum(x) >= 1 for the last
+        # unit: the config is refused before any replicate runs
+        pop = Population(x=np.array([1.0] * 8 + [5.0]), y=np.arange(9.0))
+        cell = mean_cell(DesignKind.RAO_SAMPFORD, EstimatorKind.HT)
+        with pytest.raises(InfeasibleError, match="infeasible"):
+            ExperimentConfig(
+                population=pop, cells=(cell,), sample_sizes=(2, 3), replicates=10,
+                seed=1,
+            )
+        ExperimentConfig(
+            population=pop, cells=(cell,), sample_sizes=(2,), replicates=10, seed=1,
+        )

@@ -214,15 +214,14 @@ def _parse_config(path: str) -> ExperimentConfig:
     for key in ("population", "cells", "sample_sizes", "replicates", "seed"):
         if key not in doc:
             raise _UsageError(f"config is missing field {key!r}")
-    cells = tuple(_config_cell(c) for c in doc["cells"])
-    baseline = doc.get("baseline", 0)
-    if isinstance(baseline, dict):
-        target = _config_cell(baseline)
-        try:
-            baseline = cells.index(target)
-        except ValueError:
-            raise _UsageError("baseline cell is not among the configured cells") from None
     try:
+        cells = tuple(_config_cell(c) for c in doc["cells"])
+        baseline = doc.get("baseline", 0)
+        if isinstance(baseline, dict):
+            target = _config_cell(baseline)
+            if target not in cells:
+                raise _UsageError("baseline cell is not among the configured cells")
+            baseline = cells.index(target)
         return ExperimentConfig(
             population=_config_population(doc["population"]),
             cells=cells,

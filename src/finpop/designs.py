@@ -65,12 +65,14 @@ class DesignKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SampleDraw:
-    """A drawn sample with its per-unit design metadata.
+    """A drawn sample with its per-unit design metadata, or a batch of m
+    same-size samples with one sample per row.
 
-    ``indices`` are distinct 0-based unit indices.  ``pi`` holds the selected
-    units' inclusion probabilities for pi-based designs (None for RHC);
+    ``indices`` are 0-based unit indices, (n,) for one sample or (m, n) for a
+    batch, distinct within each sample.  ``pi`` holds the selected units'
+    inclusion probabilities for pi-based designs (None for RHC);
     ``g_totals`` holds the selected units' group x-totals for RHC (None
-    otherwise).
+    otherwise); either has the shape of ``indices``.
     """
 
     design: DesignKind
@@ -80,10 +82,13 @@ class SampleDraw:
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.intp)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ParameterError("indices must be a nonempty flat array")
-        if np.unique(idx).size != idx.size:
-            raise ParameterError("sample indices must be distinct")
+        if idx.ndim not in (1, 2) or idx.size == 0:
+            raise ParameterError("indices must be a nonempty (n,) or (m, n) array")
+        distinct = _distinct(idx)
+        if not distinct.all():
+            raise ParameterError("sample indices must be distinct").at_row(
+                int(np.argmin(distinct))
+            )
         idx = idx.copy()
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
@@ -93,7 +98,7 @@ class SampleDraw:
             pi = np.asarray(self.pi, dtype=float).copy()
             if pi.shape != idx.shape:
                 raise ParameterError("pi must align with indices")
-            if np.any(pi <= 0) or np.any(pi > 1):
+            if ((pi <= 0) | (pi > 1)).any():
                 raise ParameterError("inclusion probabilities must lie in (0, 1]")
             pi.setflags(write=False)
             object.__setattr__(self, "pi", pi)
@@ -103,14 +108,41 @@ class SampleDraw:
             g = np.asarray(self.g_totals, dtype=float).copy()
             if g.shape != idx.shape:
                 raise ParameterError("g_totals must align with indices")
-            if np.any(g <= 0):
+            if (g <= 0).any():
                 raise ParameterError("group totals must be positive")
             g.setflags(write=False)
             object.__setattr__(self, "g_totals", g)
 
+    @classmethod
+    def stack(cls, draws) -> "SampleDraw":
+        """The batch whose row r is the r-th of these same-size samples."""
+        draws = list(draws)
+        pi_based = draws[0].design.is_pi_based
+        meta = np.stack([s.pi if pi_based else s.g_totals for s in draws])
+        return cls(
+            draws[0].design,
+            np.stack([s.indices for s in draws]),
+            pi=meta if pi_based else None,
+            g_totals=None if pi_based else meta,
+        )
+
+    def __getitem__(self, rows) -> "SampleDraw":
+        """The sample at batch row ``rows`` (an int), or the batch of the rows
+        a slice or index array selects."""
+        if isinstance(rows, slice) and rows.indices(len(self.indices)) == (
+            0, len(self.indices), 1
+        ):
+            return self  # all rows: the arrays are read-only, so share them
+        return SampleDraw(
+            self.design,
+            self.indices[rows],
+            pi=None if self.pi is None else self.pi[rows],
+            g_totals=None if self.g_totals is None else self.g_totals[rows],
+        )
+
     @property
     def n(self) -> int:
-        return self.indices.size
+        return self.indices.shape[-1]
 
     def drop(self, position: int) -> "SampleDraw":
         """The same draw with the unit at ``position`` removed (for jackknifing)."""
@@ -124,6 +156,12 @@ class SampleDraw:
         )
 
 
+def _distinct(idx: np.ndarray) -> np.ndarray:
+    """Whether the indices along the last axis are distinct, per row."""
+    s = np.sort(idx, axis=-1)
+    return (s[..., 1:] != s[..., :-1]).all(axis=-1)
+
+
 def _check_n(pop: Population, n: int) -> None:
     if not 2 <= n < pop.n_units:
         raise ParameterError(
@@ -134,7 +172,7 @@ def _check_n(pop: Population, n: int) -> None:
 def _pps_probs(pop: Population, n: int) -> np.ndarray:
     p = pop.x / pop.x_total()
     pi = n * p
-    if np.any(pi >= 1):
+    if (pi >= 1).any():
         bad = np.flatnonzero(pi >= 1).tolist()
         raise InfeasibleError(
             f"n * x_i / sum(x) >= 1 for unit(s) {bad}; "
@@ -196,7 +234,7 @@ def _draw_lms(pop: Population, n: int, rng: np.random.Generator) -> SampleDraw:
 
 def _cut_points(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     # u in [0, 1); the minimum guards the pathological rounding u*total == total
-    return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), cdf.size - 1)
+    return np.minimum(cdf.searchsorted(u * cdf[-1], side="right"), cdf.size - 1)
 
 
 def _draw_rao_sampford(pop: Population, n: int, rng: np.random.Generator) -> SampleDraw:
@@ -211,7 +249,7 @@ def _draw_rao_sampford(pop: Population, n: int, rng: np.random.Generator) -> Sam
         first = _cut_points(rng.random(1), cdf_p)
         rest = _cut_points(rng.random(n - 1), cdf_q)
         idx = np.concatenate((first, rest))
-        if np.unique(idx).size == n:
+        if _distinct(idx):
             return SampleDraw(DesignKind.RAO_SAMPFORD, idx, pi=pi[idx])
     raise DrawFailureError(
         f"Rao-Sampford rejection did not accept a sample in {RS_RETRY_CAP} attempts"

@@ -1,19 +1,47 @@
 """Exception hierarchy for finpop.
 
 Everything raised on purpose derives from :class:`FinpopError` so callers can
-catch library failures without swallowing programming errors.
+catch library failures without swallowing programming errors.  A row-wise
+evaluation (one row per sample or per leave-one-out sample) names its first
+failing row, and ``row_runs`` walks such an evaluation past its failures.
 """
 
 
 class FinpopError(Exception):
     """Base class for all finpop errors; ``row`` is the position of the first
-    offending row of a row-wise evaluation (one row per leave-one-out sample)."""
+    offending row of a row-wise evaluation."""
 
     row = 0
 
     def at_row(self, row: int) -> "FinpopError":
         self.row = row
         return self
+
+
+def row_runs(evaluate, m: int):
+    """Evaluate rows 0..m-1 of a row-wise computation, row failures included.
+
+    ``evaluate(lo, hi)`` returns the values of rows lo..hi-1 or raises a
+    :class:`FinpopError` whose ``row`` is its first failing row, counted from
+    lo.  Yields ``(lo, values, None)`` for each run of rows that evaluate and
+    ``(row, None, error)`` for each failing row, in row order, so that a
+    caller may stop at the first failure.  The rows before a failing row are
+    evaluated again, since one of them may fail a later check.
+    """
+    lo = 0
+    while lo < m:
+        hi, error = m, None
+        while hi > lo:
+            try:
+                values = evaluate(lo, hi)
+            except FinpopError as exc:
+                hi, error = lo + exc.row, exc
+            else:
+                yield lo, values, None
+                break
+        if error is not None:
+            yield hi, None, error
+        lo = hi + 1
 
 
 class ParameterError(FinpopError, ValueError):

@@ -14,8 +14,10 @@ G_i/(N x_i) for RHC draws) and Xbar the known population mean of x:
                   to sum c_i = 1 and sum c_i (x_i - Xbar) = 0
 
 ``estimate_mean_rows`` evaluates them for each row of an (m, n) matrix of
-design weights, a zero weight leaving the unit out: ``estimate_mean`` is its
-one-row case, and the jackknife passes one row per left-out unit.
+design weights, a zero weight leaving the unit out, over one sample shared by
+the rows or over one sample per row: ``estimate_mean`` is its case of one
+sample or of a batch of samples, and the jackknife passes one row per
+left-out unit of a sample.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ def peml_weights(
 
     ``d`` is (n,) or (m, n), and so are the weights c returned: each row is
     its own problem over the units it weights positively (c is 0 where d is),
-    and an error names its first failing row as ``row``.  A row reduces to a
+    and an error names its first failing row as ``row``.  ``x_sample`` is
+    (n,), shared by the rows, or (m, n), one sample per row.  A row reduces to a
     one-dimensional dual root:
     c_i = d~_i / (1 + lam u_i) with u_i = x_i - x_bar and lam the unique zero
     of psi(lam) = sum d~_i u_i / (1 + lam u_i) on the interval keeping every
@@ -102,13 +105,17 @@ def peml_weights(
     dv = np.asarray(d, dtype=float)
     x_sample = np.asarray(x_sample, dtype=float)
     w = dv[None, :] if dv.ndim == 1 else dv
-    if w.ndim != 2 or x_sample.ndim != 1 or w.shape[1] != x_sample.size:
+    if w.ndim != 2 or x_sample.shape not in (w.shape, w.shape[1:]):
         raise ParameterError("weights and sample x values must align")
-    if not (np.isfinite(w) & (w >= 0)).all():
-        raise ParameterError("weights must be nonnegative and finite")
+    valid = (np.isfinite(w) & (w >= 0)).all(axis=1)
+    if not valid.all():
+        raise ParameterError("weights must be nonnegative and finite").at_row(
+            int(valid.argmin())
+        )
     inside = w > 0
-    if (inside.sum(axis=1) < 2).any():
-        raise ParameterError("need at least two sampled units")
+    few = inside.sum(axis=1) < 2
+    if few.any():
+        raise ParameterError("need at least two sampled units").at_row(int(few.argmax()))
     dt = w / w.sum(axis=1, keepdims=True)
     # u is 0 outside a row's units, so they add nothing to its sums
     u = np.where(inside, x_sample - x_bar, 0.0)
@@ -169,7 +176,7 @@ def peml_weights(
 
     c = dt / (1.0 + best_lam[:, None] * u)
     resid_sum = np.abs(c.sum(axis=1) - 1.0)
-    resid_x = np.abs(c @ x_sample - x_bar) / max(1.0, abs(x_bar))
+    resid_x = np.abs((c * x_sample).sum(axis=1) - x_bar) / max(1.0, abs(x_bar))
     bad = (resid_sum > 1e-10) | (resid_x > 1e-10) | ((c > 0) != inside).any(axis=1)
     if bad.any():
         r = int(bad.argmax())
@@ -180,6 +187,14 @@ def peml_weights(
     return c if dv.ndim == 2 else c[0]
 
 
+def _row_dots(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """w_i . v_i for each row of w (m, n) and its own v_i, v being (m, n) or
+    (m, n, p): a stacked matmul sums each row as a single row's ``d @ v``."""
+    if v.ndim == 2:
+        return (w[:, None, :] @ v[:, :, None])[:, 0, 0]
+    return (w[:, None, :] @ v)[:, 0]
+
+
 def estimate_mean_rows(
     kind: EstimatorKind,
     weights: np.ndarray,
@@ -187,34 +202,36 @@ def estimate_mean_rows(
     x_bar: float,
     h: np.ndarray,
 ) -> np.ndarray:
-    """The (m, p) mean estimates of the columns of h (n, p), one row per row
-    of design weights (m, n); an undefined row raises with its position as
-    ``row``."""
-    dh = weights @ h
+    """The (m, p) mean estimates of the columns of h, one row per row of
+    design weights (m, n); an undefined row raises with its position as
+    ``row``.  Either every row weights one sample, x_sample (n,) and h (n, p),
+    or row i weights sample i, x_sample (m, n) and h (m, n, p)."""
+    # row i weights sample i, or every row weights the one sample
+    dot = _row_dots if x_sample.ndim == 2 else np.matmul
+    dh = dot(weights, h)
     if kind in (EstimatorKind.HT, EstimatorKind.RHC_EST):
         return dh
     if kind is EstimatorKind.HAJEK:
         return dh / weights.sum(axis=1)[:, None]
     if kind is EstimatorKind.RATIO:
-        return dh / (weights @ x_sample)[:, None] * x_bar
+        return dh / dot(weights, x_sample)[:, None] * x_bar
     if kind is EstimatorKind.PRODUCT:
-        return dh * (weights @ x_sample)[:, None] / x_bar
+        return dh * dot(weights, x_sample)[:, None] / x_bar
     if kind is EstimatorKind.GREG:
         dsum = weights.sum(axis=1)[:, None]
         h_star = dh / dsum
-        x_star = (weights @ x_sample)[:, None] / dsum
+        x_star = dot(weights, x_sample)[:, None] / dsum
         xc = x_sample - x_star
-        # row-wise dot products, summed as a single row's ``d @ v`` sums
-        denom = (weights[:, None, :] @ (xc * xc)[:, :, None])[:, 0]
+        denom = _row_dots(weights, xc * xc)[:, None]
         flat = denom[:, 0] <= 0
         if flat.any():
             raise DegenerateError(
                 "weighted x variance is zero; regression calibration undefined"
             ).at_row(int(flat.argmax()))
-        beta = ((weights * xc)[:, None, :] @ (h - h_star[:, None, :]))[:, 0] / denom
+        beta = _row_dots(weights * xc, h - h_star[:, None, :]) / denom
         return h_star + beta * (x_bar - x_star)
     if kind is EstimatorKind.PEML:
-        return peml_weights(weights, x_sample, x_bar) @ h
+        return dot(peml_weights(weights, x_sample, x_bar), h)
     raise CombinationError(f"unknown estimator {kind}")  # pragma: no cover
 
 
@@ -227,19 +244,27 @@ def estimate_mean(
     """Estimate the population mean of h given its values at the sampled units.
 
     ``h_values`` may be (n,) or (n, p); the estimate has matching shape
-    (scalar or (p,)).  Each column is treated as its own study variable.
+    (scalar or (p,)).  Each column is treated as its own study variable.  On
+    a batch of m samples h_values is (m, n) or (m, n, p) and the estimates
+    (m,) or (m, p), one per sample; a failing sample raises with its row.
     """
     if not valid_pair(kind, sample.design):
         raise CombinationError(
             f"estimator {kind} is not defined under the {sample.design} design"
         )
     h = np.asarray(h_values, dtype=float)
-    scalar = h.ndim == 1
+    one = sample.indices.ndim == 1
+    scalar = h.ndim == sample.indices.ndim
     if scalar:
-        h = h[:, None]
-    if h.shape[0] != sample.n:
+        h = h[..., None]
+    if h.shape[:-1] != sample.indices.shape:
         raise ParameterError("h_values must have one row per sampled unit")
-
-    d = design_weights(sample, pop)
-    est = estimate_mean_rows(kind, d[None, :], pop.x[sample.indices], pop.x_bar(), h)[0]
-    return float(est[0]) if scalar else est
+    # one sample is the one-row case of a batch
+    w = np.atleast_2d(design_weights(sample, pop))
+    x_s = np.atleast_2d(pop.x[sample.indices])
+    est = estimate_mean_rows(kind, w, x_s, pop.x_bar(), h[None] if one else h)
+    if scalar:
+        est = est[:, 0]
+    if not one:
+        return est
+    return float(est[0]) if scalar else est[0]

@@ -92,98 +92,98 @@ class Functional:
         return _MOMENTS[self.kind]
 
     def h(self, rows: np.ndarray) -> np.ndarray:
-        """Transform study rows (m, d) into moment rows (m, p)."""
+        """Transform study rows (..., d) into moment rows (..., p); a 1-D
+        array is a column of rows with d = 1."""
         y = np.asarray(rows, dtype=float)
         if y.ndim == 1:
             y = y[:, None]
-        if y.shape[1] != self.d:
+        if y.shape[-1] != self.d:
             raise ParameterError(
-                f"{self.kind} expects {self.d}-dimensional rows, got {y.shape[1]}"
+                f"{self.kind} expects {self.d}-dimensional rows, got {y.shape[-1]}"
             )
         if self.kind is FunctionalKind.MEAN:
             return y.copy()
         if self.kind is FunctionalKind.VARIANCE:
-            v = y[:, 0]
-            return np.column_stack([v * v, v])
+            v = y[..., 0]
+            return np.stack([v * v, v], axis=-1)
         if self.kind is FunctionalKind.CORRELATION:
-            z1, z2 = y[:, 0], y[:, 1]
-            return np.column_stack([z1, z2, z1 * z1, z2 * z2, z1 * z2])
-        za, zb = y[:, self.of], y[:, self.on]
-        return np.column_stack([za, zb, zb * zb, za * zb])
+            z1, z2 = y[..., 0], y[..., 1]
+            return np.stack([z1, z2, z1 * z1, z2 * z2, z1 * z2], axis=-1)
+        za, zb = y[..., self.of], y[..., self.on]
+        return np.stack([za, zb, zb * zb, za * zb], axis=-1)
+
+    def _columns(self, s: np.ndarray) -> np.ndarray:
+        """The (p, m) moments of a vector (p,) or of each row of (m, p)."""
+        s = np.asarray(s, dtype=float)
+        if s.ndim not in (1, 2) or s.shape[-1] != self.p:
+            raise ParameterError(f"{self.kind} expects length-{self.p} moment vectors")
+        return s.T if s.ndim == 2 else s[:, None]
+
+    def _spreads(self, c: np.ndarray) -> list[np.ndarray]:
+        """The variance terms the correlation (two) or the regression
+        coefficient (one) divides by, each required positive in every column
+        of moments; a column where one is not raises with its ``row``."""
+        # float_power is libm pow, as ``**`` on a float scalar is; an array's
+        # ``** 2`` multiplies instead and can differ in the last bit
+        if self.kind is FunctionalKind.CORRELATION:
+            spreads = [c[2] - np.float_power(c[0], 2), c[3] - np.float_power(c[1], 2)]
+            message = "correlation undefined: a variance term is not positive"
+        else:
+            spreads = [c[2] - np.float_power(c[1], 2)]
+            message = "regression coefficient undefined: regressor variance not positive"
+        bad = np.logical_or.reduce([v <= 0 for v in spreads])
+        if bad.any():
+            raise UndefinedParameterError(message).at_row(int(bad.argmax()))
+        return spreads
 
     def g(self, s: np.ndarray) -> float | np.ndarray:
         """g at a moment vector (p,), or at each row of an (m, p) array.
 
         A row where g is undefined raises with its position as ``row``.
         """
-        s = np.asarray(s, dtype=float)
-        if s.ndim not in (1, 2) or s.shape[-1] != self.p:
-            raise ParameterError(f"{self.kind} expects length-{self.p} moment vectors")
-        c = s.T if s.ndim == 2 else s[:, None]  # one column per moment vector
-        # float_power is libm pow, as ``**`` squares a float scalar (grad_g);
-        # an array's ``** 2`` multiplies instead and can differ in the last bit
+        c = self._columns(s)  # one column per moment vector
         if self.kind is FunctionalKind.MEAN:
             out = c[0].copy()
         elif self.kind is FunctionalKind.VARIANCE:
             out = c[0] - np.float_power(c[1], 2)
         elif self.kind is FunctionalKind.CORRELATION:
-            v1 = c[2] - np.float_power(c[0], 2)
-            v2 = c[3] - np.float_power(c[1], 2)
-            bad = (v1 <= 0) | (v2 <= 0)
-            if bad.any():
-                raise UndefinedParameterError(
-                    "correlation undefined: a variance term is not positive"
-                ).at_row(int(bad.argmax()))
+            v1, v2 = self._spreads(c)
             out = (c[4] - c[0] * c[1]) / np.sqrt(v1 * v2)
         else:
-            v = c[2] - np.float_power(c[1], 2)
-            if (v <= 0).any():
-                raise UndefinedParameterError(
-                    "regression coefficient undefined: regressor variance not positive"
-                ).at_row(int((v <= 0).argmax()))
+            (v,) = self._spreads(c)
             out = (c[3] - c[0] * c[1]) / v
-        return out if s.ndim == 2 else float(out[0])
+        return out if np.ndim(s) == 2 else float(out[0])
 
     def grad_g(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if s.shape != (self.p,):
-            raise ParameterError(f"{self.kind} expects a length-{self.p} moment vector")
+        """The gradient (p,) of g at a moment vector (p,), or (m, p) at each
+        row of an (m, p) array; an undefined row raises with its ``row``."""
+        c = self._columns(s)
         if self.kind is FunctionalKind.MEAN:
-            return np.array([1.0])
-        if self.kind is FunctionalKind.VARIANCE:
-            return np.array([1.0, -2.0 * s[1]])
-        if self.kind is FunctionalKind.CORRELATION:
-            v1 = s[2] - s[0] ** 2
-            v2 = s[3] - s[1] ** 2
-            if v1 <= 0 or v2 <= 0:
-                raise UndefinedParameterError(
-                    "correlation undefined: a variance term is not positive"
-                )
+            cols = [np.ones_like(c[0])]
+        elif self.kind is FunctionalKind.VARIANCE:
+            cols = [np.ones_like(c[0]), -2.0 * c[1]]
+        elif self.kind is FunctionalKind.CORRELATION:
+            v1, v2 = self._spreads(c)
             root = np.sqrt(v1 * v2)
-            val = (s[4] - s[0] * s[1]) / root
-            return np.array(
-                [
-                    -s[1] / root + val * s[0] / v1,
-                    -s[0] / root + val * s[1] / v2,
-                    -val / (2.0 * v1),
-                    -val / (2.0 * v2),
-                    1.0 / root,
-                ]
-            )
-        v = s[2] - s[1] ** 2
-        if v <= 0:
-            raise UndefinedParameterError(
-                "regression coefficient undefined: regressor variance not positive"
-            )
-        a = s[3] - s[0] * s[1]
-        return np.array(
-            [
-                -s[1] / v,
-                -s[0] / v + 2.0 * s[1] * a / (v * v),
+            val = (c[4] - c[0] * c[1]) / root
+            cols = [
+                -c[1] / root + val * c[0] / v1,
+                -c[0] / root + val * c[1] / v2,
+                -val / (2.0 * v1),
+                -val / (2.0 * v2),
+                1.0 / root,
+            ]
+        else:
+            (v,) = self._spreads(c)
+            a = c[3] - c[0] * c[1]
+            cols = [
+                -c[1] / v,
+                -c[0] / v + 2.0 * c[1] * a / (v * v),
                 -a / (v * v),
                 1.0 / v,
             ]
-        )
+        grad = np.stack(cols, axis=-1)
+        return grad if np.ndim(s) == 2 else grad[0]
 
 
 MEAN = Functional(FunctionalKind.MEAN)
@@ -202,7 +202,8 @@ _RATIO_SAFE = frozenset({EstimatorKind.HAJEK, EstimatorKind.PEML})
 def plug_in(
     f: Functional, kind: EstimatorKind, sample: SampleDraw, pop: Population
 ) -> float:
-    """g of the estimated mean of h at the sampled units.
+    """g of the estimated mean of h at the sampled units: a float, or (m,)
+    for a batch of m samples, a failing sample raising with its ``row``.
 
     Correlation and regression coefficients only admit the Hajek and PEML
     plug-ins (the others can produce negative variance estimates).
@@ -212,10 +213,8 @@ def plug_in(
             raise CombinationError(
                 f"{f.kind} plug-in requires the Hajek or PEML estimator, not {kind}"
             )
-    y_s = pop.y[sample.indices]
-    h_s = f.h(y_s)
-    est = estimate_mean(kind, sample, pop, h_s)
-    return f.g(np.atleast_1d(est))
+    h_s = f.h(pop.y[sample.indices])
+    return f.g(estimate_mean(kind, sample, pop, h_s))
 
 
 def population_value(f: Functional, pop: Population) -> float:

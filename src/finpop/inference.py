@@ -10,7 +10,9 @@ sqrt(n) (g(mean estimate) - g(true mean)):
 * ``variance_est_rhc`` (RHC design): the analogous quadratic form driven by
   the group totals.
 
-A level-q interval is then  point +- z * sqrt(variance / n).
+A level-q interval is then  point +- z * sqrt(variance / n).  Both variance
+estimators and the interval also take a batch of same-size samples, one
+estimate or interval per row; one sample is their batch of one.
 
 ``jackknife_bc`` computes  n g - (n-1) mean of leave-one-out g's, each
 leave-one-out estimate keeping the remaining units' original design weights
@@ -32,12 +34,13 @@ from .designs import DesignKind, SampleDraw
 from .errors import (
     CombinationError,
     DegenerateError,
-    FinpopError,
     JackknifeFailureError,
     ParameterError,
+    row_runs,
 )
 from .estimators import (
     EstimatorKind,
+    _row_dots,
     design_weights,
     estimate_mean,
     estimate_mean_rows,
@@ -59,14 +62,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
-    center: float
-    half_width: float
+    """A level-``level`` interval, or one per sample when ``center`` and
+    ``half_width`` are arrays."""
+
+    center: float | np.ndarray
+    half_width: float | np.ndarray
     level: float
 
     def __post_init__(self):
         if not 0 < self.level < 1:
             raise ParameterError("level must lie strictly between 0 and 1")
-        if self.half_width < 0:
+        if (np.asarray(self.half_width) < 0).any():
             raise ParameterError("half width cannot be negative")
 
     @property
@@ -81,19 +87,21 @@ class ConfidenceInterval:
     def length(self) -> float:
         return 2.0 * self.half_width
 
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
+    def contains(self, value: float) -> bool | np.ndarray:
+        return (self.lower <= value) & (value <= self.upper)
 
 
 def variance_est_pi(
     sample: SampleDraw, pop: Population, f: Functional, kind: EstimatorKind
-) -> float:
+) -> float | np.ndarray:
     """Variance estimate under a pi-based design for HT/Hajek/GREG/PEML plug-ins.
 
     The linearized values are V_i = h_i (HT), h_i - HT mean of h (Hajek), or
     the weighted regression residual of h on x (GREG/PEML); the gradient of g
     is taken at the HT mean of h, except at the Hajek mean for the
-    correlation coefficient, where the HT plug-in can be undefined.
+    correlation coefficient, where the HT plug-in can be undefined.  A batch
+    of m samples gives (m,) estimates, a failing sample raising with its
+    ``row``.
     """
     if not sample.design.is_pi_based:
         raise CombinationError("this variance estimator requires a pi-based draw")
@@ -101,46 +109,47 @@ def variance_est_pi(
         raise CombinationError(f"no pi-design variance estimator for {kind}")
     N = pop.n_units
     n = sample.n
-    pi = sample.pi
-    x_s = pop.x[sample.indices]
-    h_s = f.h(pop.y[sample.indices])
+    idx = np.atleast_2d(sample.indices)  # one sample is a batch of one
+    pi = np.atleast_2d(sample.pi)
+    x_s = pop.x[idx]
+    h_s = f.h(pop.y[idx])
     d = 1.0 / (N * pi)
 
-    h_ht = d @ h_s
+    h_ht = _row_dots(d, h_s)
     if kind is EstimatorKind.HT:
         v = h_s
     elif kind is EstimatorKind.HAJEK:
-        v = h_s - h_ht
+        v = h_s - h_ht[:, None, :]
     else:
-        x_ht = d @ x_s
-        s2x = d @ (x_s * x_s) - x_ht**2
-        if s2x <= 0:
-            raise DegenerateError("estimated x variance is not positive")
-        sxh = (d * x_s) @ h_s - x_ht * h_ht
-        v = h_s - h_ht - np.outer(x_s - x_ht, sxh / s2x)
+        x_ht = _row_dots(d, x_s)
+        s2x = _row_dots(d, x_s * x_s) - np.float_power(x_ht, 2)
+        _check_positive(s2x, "estimated x variance is not positive")
+        sxh = _row_dots(d * x_s, h_s) - x_ht[:, None] * h_ht
+        v = h_s - h_ht[:, None, :] - _outer(x_s - x_ht[:, None], sxh / s2x[:, None])
 
-    one_minus = float(np.sum(1.0 - pi))
-    if one_minus <= 0:
-        raise DegenerateError("all inclusion probabilities are 1; variance undefined")
-    t_hat = ((1.0 / pi - 1.0) @ v) / one_minus
+    one_minus = np.sum(1.0 - pi, axis=1)
+    _check_positive(one_minus, "all inclusion probabilities are 1; variance undefined")
+    t_hat = _row_dots(1.0 / pi - 1.0, v) / one_minus[:, None]
 
     if f.kind is FunctionalKind.CORRELATION:
-        grad_point = h_ht / d.sum()
+        grad_point = h_ht / d.sum(axis=1)[:, None]
     else:
         grad_point = h_ht
     grad = f.grad_g(grad_point)
 
-    a = (v - np.outer(pi, t_hat)) @ grad
-    return float(n / N**2 * np.sum(a * a * (1.0 / pi - 1.0) / pi))
+    a = ((v - _outer(pi, t_hat)) @ grad[:, :, None])[..., 0]
+    est = n / N**2 * np.sum(a * a * (1.0 / pi - 1.0) / pi, axis=1)
+    return float(est[0]) if sample.indices.ndim == 1 else est
 
 
 def variance_est_rhc(
     sample: SampleDraw, pop: Population, f: Functional, kind: EstimatorKind
-) -> float:
+) -> float | np.ndarray:
     """Variance estimate under the RHC design for RHC/GREG/PEML plug-ins.
 
     The gradient of g is taken at the RHC mean of h, except at the PEML mean
-    for the correlation coefficient.
+    for the correlation coefficient.  A batch of m samples gives (m,)
+    estimates, a failing sample raising with its ``row``.
     """
     if sample.design.is_pi_based:
         raise CombinationError("this variance estimator requires an RHC draw")
@@ -148,32 +157,45 @@ def variance_est_rhc(
         raise CombinationError(f"no RHC variance estimator for {kind}")
     N = pop.n_units
     n = sample.n
-    g_tot = sample.g_totals
-    x_s = pop.x[sample.indices]
-    h_s = f.h(pop.y[sample.indices])
+    idx = np.atleast_2d(sample.indices)  # one sample is a batch of one
+    g_tot = np.atleast_2d(sample.g_totals)
+    x_s = pop.x[idx]
+    h_s = f.h(pop.y[idx])
     x_bar = pop.x_bar()
     d = g_tot / (N * x_s)
 
-    h_rhc = d @ h_s
+    h_rhc = _row_dots(d, h_s)
     if kind is EstimatorKind.RHC_EST:
         v = h_s
     else:
-        s2x = float((x_s * g_tot).sum() / N - x_bar**2)
-        if s2x <= 0:
-            raise DegenerateError("estimated x variance is not positive")
-        sxh = g_tot @ h_s / N - x_bar * h_rhc
-        v = h_s - h_rhc - np.outer(x_s - x_bar, sxh / s2x)
+        s2x = (x_s * g_tot).sum(axis=1) / N - x_bar**2
+        _check_positive(s2x, "estimated x variance is not positive")
+        sxh = _row_dots(g_tot, h_s) / N - x_bar * h_rhc
+        v = h_s - h_rhc[:, None, :] - _outer(x_s - x_bar, sxh / s2x[:, None])
 
     if f.kind is FunctionalKind.CORRELATION:
-        grad_point = np.atleast_1d(estimate_mean(EstimatorKind.PEML, sample, pop, h_s))
+        h_rows = h_s if sample.indices.ndim == 2 else h_s[0]  # one sample: (n, p)
+        grad_point = np.atleast_2d(estimate_mean(EstimatorKind.PEML, sample, pop, h_rows))
     else:
         grad_point = h_rhc
     grad = f.grad_g(grad_point)
 
-    v_bar = d @ v
-    a = (v - np.outer(x_s / x_bar, v_bar)) @ grad
+    v_bar = _row_dots(d, v)
+    a = ((v - _outer(x_s / x_bar, v_bar)) @ grad[:, :, None])[..., 0]
     gam = gamma_coeff(N, n)
-    return float(n * gam * x_bar / N * np.sum(a * a * g_tot / (x_s * x_s)))
+    est = n * gam * x_bar / N * np.sum(a * a * g_tot / (x_s * x_s), axis=1)
+    return float(est[0]) if sample.indices.ndim == 1 else est
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise outer products: (m, n, p) from a (m, n) and b (m, p)."""
+    return a[:, :, None] * b[:, None, :]
+
+
+def _check_positive(values: np.ndarray, message: str) -> None:
+    bad = values <= 0
+    if bad.any():
+        raise DegenerateError(message).at_row(int(bad.argmax()))
 
 
 def supports_variance_estimate(kind: EstimatorKind, design: DesignKind) -> bool:
@@ -193,19 +215,24 @@ def variance_estimate(
 
 
 def confidence_interval(
-    point: float, var_est: float, n: int, level: float = 0.95
+    point: float | np.ndarray,
+    var_est: float | np.ndarray,
+    n: int,
+    level: float = 0.95,
 ) -> ConfidenceInterval:
-    """Normal-limit interval: point +- z_{(1+level)/2} sqrt(var_est / n)."""
+    """Normal-limit interval: point +- z_{(1+level)/2} sqrt(var_est / n);
+    arrays of points and variance estimates give one interval per sample."""
     if not 0 < level < 1:
         raise ParameterError("level must lie strictly between 0 and 1")
-    if var_est < 0:
+    var = np.asarray(var_est, dtype=float)
+    if (var < 0).any():
         raise ParameterError("variance estimate cannot be negative")
     if n < 1:
         raise ParameterError("n must be positive")
-    return ConfidenceInterval(
-        center=float(point), half_width=_z(level) * float(np.sqrt(var_est / n)),
-        level=level,
-    )
+    half = _z(level) * np.sqrt(var / n)
+    if var.ndim == 0:
+        point, half = float(point), float(half)
+    return ConfidenceInterval(center=point, half_width=half, level=level)
 
 
 @lru_cache(maxsize=16)
@@ -233,17 +260,14 @@ def jackknife_bc(
     weights = np.where(np.eye(n, dtype=bool), 0.0, design_weights(sample, pop))
     x_s = pop.x[sample.indices]
     h = f.h(pop.y[sample.indices])
-    stop, failure = n, None
-    while stop:
-        try:
-            loo = f.g(estimate_mean_rows(kind, weights[:stop], x_s, pop.x_bar(), h))
-            break
-        except FinpopError as exc:
-            # a row before the failing one may fail a later check, so search
-            # the rows before it for the first failure
-            stop, failure = exc.row, exc
-    if failure is not None:
-        unit = int(sample.indices[stop])
-        message = f"leave-one-out estimate undefined without unit {unit}: {failure}"
-        raise JackknifeFailureError(message, unit=unit) from failure
+
+    def leave_out(lo, hi):
+        return f.g(estimate_mean_rows(kind, weights[lo:hi], x_s, pop.x_bar(), h))
+
+    for row, loo, failure in row_runs(leave_out, n):
+        if failure is not None:
+            unit = int(sample.indices[row])
+            message = f"leave-one-out estimate undefined without unit {unit}: {failure}"
+            raise JackknifeFailureError(message, unit=unit) from failure
+    # without a failure, the one run of rows is all of them
     return n * full - (n - 1) * float(loo.sum()) / n

@@ -7,9 +7,16 @@ replicate index) through ``numpy.random.SeedSequence``; all cells sharing a
 design evaluate the identical draw.  Reports are therefore pure functions of
 the configuration, independent of execution order.
 
+For each sample size the R draws of a design are stacked into one batch,
+one sample per row, and each cell evaluates all R replicates in one
+row-wise pass: one ``plug_in`` (one PEML solve), one ``variance_estimate``
+and one ``confidence_interval`` over the rows.  The jackknife still runs
+once per replicate.
+
 Replicates where an estimate is undefined (infeasible calibration, undefined
 correlation, ...) are dropped from that cell's moments and counted as
-failures instead of propagating NaNs into the ratios.
+failures instead of propagating NaNs into the ratios; a failing row is found
+through ``FinpopError.row`` and the rows around it are evaluated again.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from math import nan
 import numpy as np
 
 from .designs import DesignKind, SampleDraw, _check_n, draw, inclusion_probabilities
-from .errors import FinpopError, ParameterError
+from .errors import FinpopError, ParameterError, row_runs
 from .estimators import EstimatorKind, valid_pair
 from .functionals import _RATIO_SAFE, Functional, FunctionalKind, plug_in, population_value
 from .inference import (
@@ -235,79 +242,69 @@ def _replicate_rng(seed: int, n: int, design: DesignKind, replicate: int):
     return np.random.default_rng(ss)
 
 
-@dataclass
-class _Accumulator:
-    """One cell's outcomes at one sample size, added in replicate order."""
+def _rows_that_evaluate(evaluate, batch: SampleDraw):
+    """Apply ``evaluate`` to the batch, leaving out the rows that fail: the
+    positions of the rows kept and their values."""
+    kept, values = [np.empty(0, dtype=int)], [np.empty(0)]
+    runs = row_runs(lambda lo, hi: evaluate(batch[lo:hi]), len(batch.indices))
+    for lo, vals, failure in runs:
+        if failure is None:
+            kept.append(np.arange(lo, lo + len(vals)))
+            values.append(vals)
+    return np.concatenate(kept), np.concatenate(values)
 
-    cell: Cell
-    truth: float
-    estimates: list[float] = field(default_factory=list)
-    failures: int = 0
-    lengths: list[float] = field(default_factory=list)
-    covered: int = 0
-    bc_estimates: list[float] = field(default_factory=list)
-    bc_failures: int = 0
 
-    def add(self, cfg: ExperimentConfig, sample: SampleDraw, n: int) -> None:
-        """Evaluate the cell on one draw: the estimate, its interval when a
-        variance estimator exists, and the jackknife when asked for.  An
-        undefined estimate counts against the estimate and the jackknife."""
-        pop, cell = cfg.population, self.cell
-        try:
-            est = plug_in(cell.functional, cell.estimator, sample, pop)
-        except FinpopError:
-            self.failures += 1
-            self.bc_failures += 1  # reported only when jackknifing
-            return
-        self.estimates.append(est)
-        if supports_variance_estimate(cell.estimator, cell.design):
+def _cell_result(
+    cfg: ExperimentConfig, cell: Cell, truth: float, batch: SampleDraw
+) -> CellResult:
+    """Evaluate the cell on all replicates at once: the estimates, their
+    intervals when a variance estimator exists, and the jackknife when asked
+    for.  An undefined estimate counts against the estimate and the
+    jackknife."""
+    pop, f, kind, n = cfg.population, cell.functional, cell.estimator, batch.n
+    ok, est = _rows_that_evaluate(lambda b: plug_in(f, kind, b, pop), batch)
+    lengths, covered = np.empty(0), 0
+    if supports_variance_estimate(kind, cell.design) and ok.size:
+        rows = batch if ok.size == cfg.replicates else batch[ok]
+        with_var, var = _rows_that_evaluate(
+            lambda b: variance_estimate(b, pop, f, kind), rows
+        )
+        if with_var.size:
+            ci = confidence_interval(est[with_var], np.maximum(var, 0.0), n, cfg.ci_level)
+            lengths, covered = ci.length, int(np.count_nonzero(ci.contains(truth)))
+    n_ok, ci_count = est.size, lengths.size
+    result = CellResult(
+        cell=cell,
+        n=n,
+        truth=truth,
+        replicates=cfg.replicates,
+        failures=cfg.replicates - n_ok,
+        mean_estimate=float(np.mean(est)) if n_ok else nan,
+        mse=empirical_mse(est, truth) if n_ok else nan,
+        ci_count=ci_count,
+        coverage=covered / ci_count if ci_count else nan,
+        ci_mean_length=float(np.mean(lengths)) if ci_count else nan,
+        ci_sd_length=float(np.std(lengths, ddof=1)) if ci_count > 1 else nan,
+    )
+    if cfg.jackknife:
+        bc = []
+        for r in ok:
             try:
-                var = variance_estimate(sample, pop, cell.functional, cell.estimator)
-                ci = confidence_interval(est, max(var, 0.0), n, cfg.ci_level)
+                bc.append(jackknife_bc(batch[r], pop, f, kind))
             except FinpopError:
                 pass
-            else:
-                self.lengths.append(ci.length)
-                self.covered += ci.contains(self.truth)
-        if cfg.jackknife:
-            try:
-                bc = jackknife_bc(sample, pop, cell.functional, cell.estimator)
-            except FinpopError:
-                self.bc_failures += 1
-            else:
-                self.bc_estimates.append(bc)
-
-    def result(self, cfg: ExperimentConfig, n: int) -> CellResult:
-        truth = self.truth
-        n_ok = len(self.estimates)
-        ci_count = len(self.lengths)
-        result = CellResult(
-            cell=self.cell,
-            n=n,
-            truth=truth,
-            replicates=cfg.replicates,
-            failures=self.failures,
-            mean_estimate=float(np.mean(self.estimates)) if n_ok else nan,
-            mse=empirical_mse(self.estimates, truth) if n_ok else nan,
-            ci_count=ci_count,
-            coverage=self.covered / ci_count if ci_count else nan,
-            ci_mean_length=float(np.mean(self.lengths)) if ci_count else nan,
-            ci_sd_length=float(np.std(self.lengths, ddof=1)) if ci_count > 1 else nan,
-        )
-        if cfg.jackknife:
-            bc = self.bc_estimates
-            result.bc_failures = self.bc_failures
-            result.bc_mean = float(np.mean(bc)) if bc else nan
-            result.bc_mse = empirical_mse(bc, truth) if bc else nan
-        return result
+        result.bc_failures = cfg.replicates - len(bc)
+        result.bc_mean = float(np.mean(bc)) if bc else nan
+        result.bc_mse = empirical_mse(bc, truth) if bc else nan
+    return result
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full replicate grid and assemble the report.
 
     For each sample size, every replicate draws once per design from its own
-    substream, and each cell adds its outcome on that draw to its own
-    accumulator, so cells see their draws in replicate order.
+    substream; the draws of a design, in replicate order, form the batch that
+    each of its cells evaluates in one pass.
     """
     pop = cfg.population
     designs_needed = list(dict.fromkeys(c.design for c in cfg.cells))
@@ -321,15 +318,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(seed=cfg.seed, replicates=cfg.replicates)
 
     for n in cfg.sample_sizes:
-        accs = [_Accumulator(cell, truth) for cell, truth in zip(cfg.cells, truths)]
-        for r in range(cfg.replicates):
-            draws = {
-                design: draw(design, pop, n, _replicate_rng(cfg.seed, n, design, r))
-                for design in designs_needed
-            }
-            for acc in accs:
-                acc.add(cfg, draws[acc.cell.design], n)
-        results = [acc.result(cfg, n) for acc in accs]
+        batches = {
+            design: SampleDraw.stack(
+                draw(design, pop, n, _replicate_rng(cfg.seed, n, design, r))
+                for r in range(cfg.replicates)
+            )
+            for design in designs_needed
+        }
+        results = [
+            _cell_result(cfg, cell, truth, batches[cell.design])
+            for cell, truth in zip(cfg.cells, truths)
+        ]
         report.cells.extend(results)
 
         for a, b in pairs:

@@ -1,8 +1,8 @@
 """Exact design expectations on tiny populations.
 
 Walks the full sample space of an enumerable design and evaluates a plug-in
-estimator at every support point, yielding its exact design expectation and
-MSE.  This is the ground truth used to verify unbiasedness claims and to
+estimator at every support point, all points stacked into one batch, yielding
+its exact design expectation and MSE.  This is the ground truth used to verify unbiasedness claims and to
 sanity-check the asymptotic MSE formulas at desk scale.  Exact mode tolerates
 no undefined estimate: any failure on a support point propagates.
 """
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import AsymptoticContext, delta_sq, equivalence_class
-from .designs import DesignKind, enumerate_design
-from .errors import FinpopError
+from .designs import DesignKind, SampleDraw, enumerate_design
+from .errors import FinpopError, row_runs
 from .estimators import EstimatorKind
 from .functionals import Functional, plug_in, population_value
 from .population import Population
@@ -51,17 +51,17 @@ def exact_moments(
     """Exact expectation and MSE over the design's full sample space."""
     support = enumerate_design(design, pop, n)
     truth = population_value(f, pop)
-    values = np.empty(len(support))
-    probs = np.empty(len(support))
-    for i, (sample, prob) in enumerate(support):
-        try:
-            values[i] = plug_in(f, kind, sample, pop)
-        except FinpopError as exc:
+    batch = SampleDraw.stack(sample for sample, _ in support)
+    probs = np.array([prob for _, prob in support])
+
+    evaluate = lambda lo, hi: plug_in(f, kind, batch[lo:hi], pop)  # noqa: E731
+    for i, values, failure in row_runs(evaluate, len(support)):
+        if failure is not None:
             raise FinpopError(
                 f"estimate undefined on support point {i} "
-                f"(units {sample.indices.tolist()}): {exc}"
-            ) from exc
-        probs[i] = prob
+                f"(units {batch.indices[i].tolist()}): {failure}"
+            ) from failure
+    # without a failure, the one run of rows is the whole support
     expectation = float(probs @ values)
     mse = float(probs @ (values - truth) ** 2)
     return ExactSummary(

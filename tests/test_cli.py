@@ -202,6 +202,16 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "cells",
+        [5, [{"design": ["srswor"], "estimator": "ht", "functional": "mean"}]],
+    )
+    def test_malformed_cells_exit_1(self, tmp_path, capsys, cells):
+        cfg = self.make_config(tmp_path, cells=cells)
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error: ")
+
     def test_csv_population_requires_y_columns(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path, population={"csv": "whatever.csv"})
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))

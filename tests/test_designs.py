@@ -210,6 +210,34 @@ class TestSampleDraw:
         with pytest.raises(ParameterError):
             SampleDraw(DesignKind.SRSWOR, np.array([0, 1]), pi=np.array([0.5, 1.5]))
 
+    def test_batch_rows_are_the_stacked_draws(self, pop5):
+        rng = np.random.default_rng(5)
+        for design in DesignKind:
+            draws = [draw(design, pop5, 2, rng) for _ in range(6)]
+            batch = SampleDraw.stack(draws)
+            assert batch.indices.shape == (6, 2) and batch.n == 2
+            for r, s in enumerate(draws):
+                row = batch[r]
+                np.testing.assert_array_equal(row.indices, s.indices)
+                meta = (row.pi, s.pi) if design.is_pi_based else (row.g_totals, s.g_totals)
+                np.testing.assert_array_equal(*meta)
+            assert batch[:] is batch
+            np.testing.assert_array_equal(batch[[4, 1]].indices[1], draws[1].indices)
+
+    def test_batch_names_its_first_row_with_duplicates(self):
+        idx = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 6], [1, 1, 2]])
+        with pytest.raises(ParameterError, match="distinct") as err:
+            SampleDraw(DesignKind.SRSWOR, idx, pi=np.full(idx.shape, 0.3))
+        assert err.value.row == 2
+
+    def test_distinctness_check_matches_unique(self):
+        from finpop.designs import _distinct
+
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            idx = rng.integers(0, 12, size=int(rng.integers(1, 8)))
+            assert bool(_distinct(idx)) == (np.unique(idx).size == idx.size)
+
     def test_drop(self):
         s = SampleDraw(
             DesignKind.SRSWOR, np.array([4, 7, 9]), pi=np.array([0.2, 0.3, 0.4])

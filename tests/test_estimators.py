@@ -7,6 +7,7 @@ from finpop import (
     DesignKind,
     EstimatorKind,
     InfeasibleError,
+    ParameterError,
     Population,
     SampleDraw,
     design_weights,
@@ -283,6 +284,33 @@ class TestPemlRows:
         with pytest.raises(InfeasibleError) as err:
             peml_weights(w, x, 2.5)
         assert err.value.row == 1
+
+    def test_bad_weight_names_its_row(self):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        w = np.ones((4, 4))
+        w[2, 1] = -1.0
+        w[3, 0] = np.nan
+        with pytest.raises(ParameterError, match="nonnegative and finite") as err:
+            peml_weights(w, x, 2.5)
+        assert err.value.row == 2
+
+    def test_too_few_units_names_its_row(self):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        w = np.array([[1, 1, 1, 1], [1, 0, 1, 0], [0, 0, 1, 0], [1, 0, 0, 0.0]])
+        with pytest.raises(ParameterError, match="at least two") as err:
+            peml_weights(w, x, 2.5)
+        assert err.value.row == 2
+
+    def test_one_sample_per_row(self):
+        # row i weights its own x values: the same weights as a solve alone
+        rng = np.random.default_rng(12)
+        x = rng.gamma(4.0, 250.0, size=(30, 8))
+        w = rng.uniform(0.1, 2.0, size=(30, 8))
+        x_bar = float(np.median(x))
+        x[:, 0], x[:, 1] = x_bar / 2, x_bar * 2  # every row straddles x_bar
+        c = peml_weights(w, x, x_bar)
+        for w_row, x_row, c_row in zip(w, x, c):
+            assert np.array_equal(c_row, peml_weights(w_row, x_row, x_bar))
 
 
 class TestPemlGregConvergence:

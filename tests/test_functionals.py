@@ -71,6 +71,23 @@ class TestGAndGradient:
         with pytest.raises(UndefinedParameterError):
             CORRELATION.grad_g(np.array([1.0, 0.0, 1.0, 1.0, 0.5]))
 
+    @pytest.mark.parametrize("f", ALL_FUNCTIONALS)
+    def test_rows_match_single_moment_vectors(self, f):
+        rng = np.random.default_rng(17)
+        s = np.stack([f.h(rng.normal(size=(6, f.d))).mean(axis=0) for _ in range(40)])
+        g, grad = f.g(s), f.grad_g(s)
+        assert g.shape == (40,) and grad.shape == (40, f.p)
+        for row, g_row, grad_row in zip(s, g, grad):
+            assert g_row == f.g(row)
+            assert np.array_equal(grad_row, f.grad_g(row))
+
+    def test_undefined_gradient_names_its_row(self):
+        s = np.array([[0.4, -0.2, 1.7, 2.1, 0.9]] * 4)
+        s[2, 2] = s[3, 3] = 0.0  # s3 - s1^2 < 0, then s4 - s2^2 < 0
+        with pytest.raises(UndefinedParameterError) as err:
+            CORRELATION.grad_g(s)
+        assert err.value.row == 2
+
     @pytest.mark.parametrize(
         "f,s",
         [

@@ -27,6 +27,7 @@ from finpop import (
     variance_est_rhc,
 )
 from finpop.estimators import estimate_mean_rows
+from finpop.inference import supports_variance_estimate, variance_estimate
 from conftest import random_population
 from test_estimators import srswor_sample
 
@@ -57,6 +58,67 @@ class TestConfidenceInterval:
             confidence_interval(0.0, 1.0, 10, 1.0)
         with pytest.raises(ParameterError):
             confidence_interval(0.0, -1.0, 10, 0.95)
+
+
+class TestSampleBatches:
+    """Each row of a batch of draws gets the value of its own one-sample
+    call; a batch with a failing row names the first one."""
+
+    @staticmethod
+    def check_rows(fn, batch, draws):
+        values, first_failure = [], None
+        for r, s in enumerate(draws):
+            try:
+                values.append(fn(s))
+            except FinpopError:
+                first_failure = r if first_failure is None else first_failure
+        if first_failure is not None:
+            with pytest.raises(FinpopError) as err:
+                fn(batch)
+            assert err.value.row == first_failure
+            return None
+        out = fn(batch)
+        assert out.tolist() == values
+        return out
+
+    @pytest.mark.parametrize("design", list(DesignKind))
+    def test_rows_match_one_sample_calls(self, design):
+        rng = np.random.default_rng(41)
+        x = rng.uniform(1.0, 3.0, size=60)
+        pop = Population(x=x, y=np.column_stack([x + rng.normal(size=60), rng.normal(size=60)]))
+        checked = 0
+        for trial in range(4):
+            draws = [draw(design, pop, 8, rng) for _ in range(12)]
+            batch = SampleDraw.stack(draws)
+            for kind in EstimatorKind:
+                if not supports_variance_estimate(kind, design):
+                    continue
+                for f in (MEAN, CORRELATION, regression_coef(1, 0)):
+                    if f is not MEAN and kind not in (EstimatorKind.HAJEK, EstimatorKind.PEML):
+                        continue
+                    pf = pop if f.d == 2 else Population(x=pop.x, y=pop.y[:, 0])
+                    est = self.check_rows(lambda s: plug_in(f, kind, s, pf), batch, draws)
+                    var = self.check_rows(
+                        lambda s: variance_estimate(s, pf, f, kind), batch, draws
+                    )
+                    if est is None or var is None:
+                        continue
+                    ci = confidence_interval(est, np.maximum(var, 0.0), 8)
+                    for r in range(len(draws)):
+                        one = confidence_interval(est[r], max(var[r], 0.0), 8)
+                        assert (ci.lower[r], ci.upper[r]) == (one.lower, one.upper)
+                    checked += 1
+        assert checked >= 4
+
+    def test_failing_row_is_named(self):
+        # only the last two samples straddle a flat x: the GREG x variance
+        # of the first ones is zero, and the error names the first of them
+        pop = Population(x=np.array([1.0, 1.0, 1.0, 1.0, 2.0]), y=np.arange(5.0))
+        idx = np.array([[0, 4], [1, 2], [3, 4], [0, 1]])
+        batch = SampleDraw(DesignKind.SRSWOR, idx, pi=np.full(idx.shape, 0.4))
+        with pytest.raises(DegenerateError) as err:
+            plug_in(MEAN, EstimatorKind.GREG, batch, pop)
+        assert err.value.row == 1
 
 
 class TestVarianceEstPi:

@@ -7,18 +7,26 @@ from finpop import (
     DesignKind,
     EstimatorKind,
     ExperimentConfig,
+    FinpopError,
     InfeasibleError,
     MEAN,
     ParameterError,
     Population,
     VARIANCE,
+    confidence_interval,
+    default_bivariate_spec,
     empirical_mse,
+    generate_bivariate,
+    jackknife_bc,
     plug_in,
     population_value,
+    regression_coef,
     relative_efficiency,
     run_experiment,
+    valid_pair,
 )
 from finpop.designs import draw
+from finpop.inference import supports_variance_estimate, variance_estimate
 from finpop.montecarlo import _replicate_rng
 
 
@@ -263,3 +271,126 @@ class TestRunExperiment:
         ExperimentConfig(
             population=pop, cells=(cell,), sample_sizes=(2,), replicates=10, seed=1,
         )
+
+
+class TestBatchedReplicates:
+    """The row-wise pass of run_experiment against a per-replicate loop over
+    the same substreams: draw -> plug_in -> variance_estimate ->
+    confidence_interval, and jackknife_bc."""
+
+    SIZES = (10, 75)
+    REPLICATES = 20
+
+    @staticmethod
+    def skewed_pop():
+        # a tenth of the units carry most of x: small samples often miss
+        # them, so PEML calibration is infeasible on some rows and the
+        # HT-estimated x variance of GREG/PEML is not positive on others
+        rng = np.random.default_rng(3)
+        N = 2000
+        big = rng.random(N) < 0.1
+        x = np.where(big, rng.uniform(2.0, 2.5, N), rng.uniform(1.0, 1.05, N))
+        return Population(x=x, y=1.0 + 2.0 * x + rng.normal(size=N))
+
+    @staticmethod
+    def reference(cfg, cell, n):
+        pop, f, kind = cfg.population, cell.functional, cell.estimator
+        truth = population_value(f, pop)
+        est, lengths, covered, bc = [], [], 0, []
+        failures = bc_failures = 0
+        for r in range(cfg.replicates):
+            s = draw(cell.design, pop, n, _replicate_rng(cfg.seed, n, cell.design, r))
+            try:
+                e = plug_in(f, kind, s, pop)
+            except FinpopError:
+                failures += 1
+                bc_failures += 1
+                continue
+            est.append(e)
+            if supports_variance_estimate(kind, cell.design):
+                try:
+                    var = variance_estimate(s, pop, f, kind)
+                except FinpopError:
+                    pass
+                else:
+                    ci = confidence_interval(e, max(var, 0.0), n, cfg.ci_level)
+                    lengths.append(ci.length)
+                    covered += ci.contains(truth)
+            if cfg.jackknife:
+                try:
+                    bc.append(jackknife_bc(s, pop, f, kind))
+                except FinpopError:
+                    bc_failures += 1
+        nan = float("nan")
+        out = {
+            "failures": failures,
+            "ci_count": len(lengths),
+            "mean_estimate": np.mean(est) if est else nan,
+            "mse": empirical_mse(est, truth) if est else nan,
+            "coverage": covered / len(lengths) if lengths else nan,
+            "ci_mean_length": np.mean(lengths) if lengths else nan,
+            "ci_sd_length": np.std(lengths, ddof=1) if len(lengths) > 1 else nan,
+        }
+        if cfg.jackknife:
+            out["bc_failures"] = bc_failures
+            out["bc_mean"] = np.mean(bc) if bc else nan
+            out["bc_mse"] = empirical_mse(bc, truth) if bc else nan
+        return out
+
+    def check(self, cfg):
+        report = run_experiment(cfg)
+        assert len(report.cells) == len(cfg.cells) * len(cfg.sample_sizes)
+        for res in report.cells:
+            ref = self.reference(cfg, res.cell, res.n)
+            for key, want in ref.items():
+                got = getattr(res, key)
+                label = f"{res.cell.label()} n={res.n} {key}"
+                if isinstance(want, int):
+                    assert got == want, label
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=label)
+        return report
+
+    @pytest.mark.parametrize("jackknife", [False, True])
+    def test_every_design_estimator_mean_and_variance_cell(self, jackknife):
+        cells = tuple(
+            Cell(design, kind, f)
+            for design in DesignKind
+            for kind in EstimatorKind
+            for f in (MEAN, VARIANCE)
+            if valid_pair(kind, design)
+        )
+        assert len(cells) == 42
+        cfg = ExperimentConfig(
+            population=self.skewed_pop(), cells=cells, sample_sizes=self.SIZES,
+            replicates=self.REPLICATES, seed=31, jackknife=jackknife,
+        )
+        report = self.check(cfg)
+        # the grid holds failing rows of each kind, so the row-failure walk is
+        # exercised: an infeasible PEML hull fails the estimate, a non-positive
+        # x variance drops the GREG interval under RS and RHC
+        at10 = {(r.cell.design, r.cell.estimator, r.cell.functional): r
+                for r in report.cells if r.n == 10}
+        peml = at10[(DesignKind.SRSWOR, EstimatorKind.PEML, MEAN)]
+        assert 0 < peml.failures < self.REPLICATES
+        for design in (DesignKind.RAO_SAMPFORD, DesignKind.RHC):
+            greg = at10[(design, EstimatorKind.GREG, MEAN)]
+            assert greg.failures == 0 and 0 < greg.ci_count < self.REPLICATES
+        if jackknife:
+            assert 0 < peml.bc_failures < self.REPLICATES
+
+    @pytest.mark.parametrize("jackknife", [False, True])
+    def test_correlation_and_regression_cells(self, jackknife):
+        pop = generate_bivariate(default_bivariate_spec(), 2000, seed=6)
+        cells = tuple(
+            Cell(design, kind, f)
+            for design in DesignKind
+            for kind in (EstimatorKind.HAJEK, EstimatorKind.PEML)
+            for f in (CORRELATION, regression_coef(0, 1), regression_coef(1, 0))
+            if valid_pair(kind, design)
+        )
+        cfg = ExperimentConfig(
+            population=pop, cells=cells, sample_sizes=self.SIZES,
+            replicates=self.REPLICATES, seed=32, jackknife=jackknife,
+        )
+        self.check(cfg)

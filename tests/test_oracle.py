@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from finpop import (
     delta_sq,
     draw,
     empirical_mse,
+    enumerate_design,
     exact_moments,
     exact_vs_formula,
     plug_in,
@@ -54,6 +57,38 @@ class TestExactMoments:
         pop = Population(x=np.array([1.0, 1.0, 1.0, 1.0, 16.0]), y=np.arange(5.0))
         with pytest.raises(FinpopError, match="support point"):
             exact_moments(DesignKind.SRSWOR, pop, 2, EstimatorKind.PEML, MEAN)
+
+    def test_error_names_the_first_undefined_support_point(self):
+        # the first infeasible subset in enumeration order, as a loop finds it
+        pop = Population(x=np.array([1.0, 16.0, 1.0, 1.0, 1.0]), y=np.arange(5.0))
+        support = enumerate_design(DesignKind.SRSWOR, pop, 2)
+        first = None
+        for i, (sample, _) in enumerate(support):
+            try:
+                plug_in(MEAN, EstimatorKind.PEML, sample, pop)
+            except FinpopError:
+                first = i
+                break
+        assert first is not None and first > 0
+        units = support[first][0].indices.tolist()
+        message = re.escape(f"support point {first} (units {units})")
+        with pytest.raises(FinpopError, match=message):
+            exact_moments(DesignKind.SRSWOR, pop, 2, EstimatorKind.PEML, MEAN)
+
+    def test_batched_moments_match_a_loop(self):
+        rng = np.random.default_rng(23)
+        for design, kind in (
+            (DesignKind.SRSWOR, EstimatorKind.GREG),
+            (DesignKind.LMS, EstimatorKind.RATIO),
+            (DesignKind.RHC, EstimatorKind.GREG),
+        ):
+            pop = random_population(rng, N=7)
+            support = enumerate_design(design, pop, 3)
+            values = np.array([plug_in(MEAN, kind, s, pop) for s, _ in support])
+            probs = np.array([p for _, p in support])
+            s = exact_moments(design, pop, 3, kind, MEAN)
+            assert s.expectation == float(probs @ values)
+            assert s.mse == float(probs @ (values - s.truth) ** 2)
 
     def test_enumeration_cap_propagates(self):
         pop = Population(x=np.ones(40) + np.arange(40) * 0.01, y=np.zeros(40))

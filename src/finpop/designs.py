@@ -6,6 +6,10 @@ generator), report its inclusion probabilities where those are fixed, and --
 except for Rao-Sampford -- enumerate its whole sample space with exact
 probabilities for oracle-style verification on tiny populations.
 
+Rao-Sampford draws are rejective.  They evaluate their attempts in blocks,
+many per vectorized pass, yet return the sample of the one-attempt-at-a-time
+loop and leave the generator where that loop would leave it.
+
 Conventions:
   * unit indices are 0-based positions into the population arrays;
   * pi-based draws carry per-unit inclusion probabilities ``pi``;
@@ -45,6 +49,7 @@ __all__ = [
 
 ENUMERATION_CAP = 1_000_000
 RS_RETRY_CAP = 1_000_000
+_RS_BLOCK_MAX = 64  # rejective Rao-Sampford attempts per vectorized pass
 
 
 class DesignKind(enum.Enum):
@@ -232,25 +237,46 @@ def _draw_lms(pop: Population, n: int, rng: np.random.Generator) -> SampleDraw:
     return SampleDraw(DesignKind.LMS, idx, pi=pi_all[idx])
 
 
-def _cut_points(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    # u in [0, 1); the minimum guards the pathological rounding u*total == total
-    return np.minimum(cdf.searchsorted(u * cdf[-1], side="right"), cdf.size - 1)
-
-
 def _draw_rao_sampford(pop: Population, n: int, rng: np.random.Generator) -> SampleDraw:
     # Sampford's rejective scheme: one draw proportional to p, n-1 draws with
     # replacement proportional to p/(1 - n p); accept only all-distinct sets.
+    # Attempts run in blocks of 1, 2, 4, ... up to _RS_BLOCK_MAX rows; row k
+    # of a block maps the same n uniforms, in the same order, as the k-th of
+    # its attempts run one at a time.  If a row before the last is accepted,
+    # the generator is rewound and advanced past the attempts used, so the
+    # sample and the generator's final state are those of the one-attempt
+    # loop, for any bit generator.
     pi = _pps_probs(pop, n)
     p = pi / n
     q = p / (1.0 - n * p)
-    cdf_p = np.cumsum(p)
-    cdf_q = np.cumsum(q)
-    for _ in range(RS_RETRY_CAP):
-        first = _cut_points(rng.random(1), cdf_p)
-        rest = _cut_points(rng.random(n - 1), cdf_q)
-        idx = np.concatenate((first, rest))
-        if _distinct(idx):
+    cdf_p, cdf_q = p.cumsum(), q.cumsum()
+    # A key u * cdf[-1], u in [0, 1), falls in the cell of the nondecreasing
+    # cdf that searchsorted finds among its edges; leaving the last edge out
+    # caps the cell at N-1, which guards the rounding u * cdf[-1] == cdf[-1].
+    edges_p, top_p = cdf_p[:-1], cdf_p[-1]
+    edges_q, top_q = cdf_q[:-1], cdf_q[-1]
+    tried, block = 0, 1
+    while tried < RS_RETRY_CAP:
+        block = min(block, RS_RETRY_CAP - tried)
+        state = rng.bit_generator.state if block > 1 else None
+        u = rng.random(block * n)
+        # keys are looked up faster in ascending order; each key still
+        # finds its own cell, so the order does not change the indices
+        order = u.argsort()
+        idx = np.empty_like(order)
+        idx[order] = edges_q.searchsorted(u[order] * top_q, side="right")
+        # column 0, each attempt's first draw, is proportional to p
+        idx[::n] = edges_p.searchsorted(u[::n] * top_p, side="right")
+        accepted = _distinct(idx.reshape(block, n))
+        j = int(accepted.argmax())
+        if accepted[j]:
+            if j < block - 1:
+                rng.bit_generator.state = state
+                rng.random((j + 1) * n)
+            idx = idx[j * n : (j + 1) * n]
             return SampleDraw(DesignKind.RAO_SAMPFORD, idx, pi=pi[idx])
+        tried += block
+        block = min(2 * block, _RS_BLOCK_MAX)
     raise DrawFailureError(
         f"Rao-Sampford rejection did not accept a sample in {RS_RETRY_CAP} attempts"
     )

@@ -3,9 +3,12 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from finpop import designs
 from finpop import (
     DesignKind,
+    DrawFailureError,
     EnumerationTooLargeError,
     InfeasibleError,
     ParameterError,
@@ -245,3 +248,93 @@ class TestSampleDraw:
         t = s.drop(1)
         np.testing.assert_array_equal(t.indices, [4, 9])
         np.testing.assert_allclose(t.pi, [0.2, 0.4])
+
+
+def _rejective_rao_sampford(pop, n, rng):
+    """The reference sampler: Sampford's rejective loop, one attempt at a time."""
+    pi = inclusion_probabilities(DesignKind.RAO_SAMPFORD, pop, n)
+    p = pi / n
+    q = p / (1.0 - n * p)
+    cdf_p = np.cumsum(p)
+    cdf_q = np.cumsum(q)
+
+    def cut(u, cdf):
+        return np.minimum(cdf.searchsorted(u * cdf[-1], side="right"), cdf.size - 1)
+
+    for _ in range(designs.RS_RETRY_CAP):
+        idx = np.concatenate((cut(rng.random(1), cdf_p), cut(rng.random(n - 1), cdf_q)))
+        if np.unique(idx).size == n:
+            return idx, pi[idx]
+    raise DrawFailureError("reference loop exhausted its attempts")
+
+
+def _same_state(a, b):
+    """Whether two bit-generator states are equal (MT19937's holds an array)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return bool(np.array_equal(a, b))
+
+
+def _criterion_3_population():
+    x = np.random.default_rng(103).uniform(1.0, 4.0, size=10)
+    return Population(x=x, y=np.zeros(10))
+
+
+def _skewed_population(N=5000):
+    """Gamma(mean 1000, sd 1500) sizes: rejection accepts a few per thousand."""
+    mean, sd = 1000.0, 1500.0
+    x = stats.gamma.ppf((np.arange(N) + 0.5) / N, (mean / sd) ** 2, scale=sd**2 / mean)
+    x = np.random.default_rng(11).permutation(x)
+    return Population(x=x, y=x)
+
+
+class TestRaoSampfordStream:
+    """The blocked sampler returns the one-attempt loop's samples and leaves
+    the generator in the state that loop leaves it in."""
+
+    @staticmethod
+    def assert_same_draws(pop, n, make_rng, seeds):
+        for seed in seeds:
+            rng, ref_rng = make_rng(seed), make_rng(seed)
+            s = draw(DesignKind.RAO_SAMPFORD, pop, n, rng)
+            idx, pi = _rejective_rao_sampford(pop, n, ref_rng)
+            np.testing.assert_array_equal(s.indices, idx)
+            np.testing.assert_array_equal(s.pi, pi)
+            assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+    def test_criterion_3_population(self):
+        self.assert_same_draws(_criterion_3_population(), 3, np.random.default_rng, range(200))
+
+    def test_skewed_population(self):
+        self.assert_same_draws(_skewed_population(), 125, np.random.default_rng, range(50))
+
+    @pytest.mark.parametrize("n", [75, 100, 125])
+    def test_benchmark_population(self, benchmark_pop, n):
+        self.assert_same_draws(benchmark_pop, n, np.random.default_rng, range(60))
+
+    def test_one_generator_shared_across_draws(self, benchmark_pop):
+        for pop, n, m in ((_criterion_3_population(), 3, 1500), (benchmark_pop, 100, 200)):
+            rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+            for _ in range(m):
+                s = draw(DesignKind.RAO_SAMPFORD, pop, n, rng)
+                idx, _ = _rejective_rao_sampford(pop, n, ref_rng)
+                np.testing.assert_array_equal(s.indices, idx)
+                assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+    def test_mt19937_state_is_restored(self, benchmark_pop):
+        def mt(seed):
+            return np.random.Generator(np.random.MT19937(seed))
+
+        self.assert_same_draws(benchmark_pop, 125, mt, range(20))
+        self.assert_same_draws(_skewed_population(), 125, mt, range(5))
+
+    def test_retry_cap_counts_attempts(self, benchmark_pop, monkeypatch):
+        # at n=500 rejection accepts nothing in practice; 5 attempts run as
+        # blocks of 1, 2 and a last block cut from 4 to 2
+        monkeypatch.setattr(designs, "RS_RETRY_CAP", 5)
+        n = 500
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        with pytest.raises(DrawFailureError):
+            draw(DesignKind.RAO_SAMPFORD, benchmark_pop, n, rng)
+        twin.random(5 * n)
+        assert _same_state(rng.bit_generator.state, twin.bit_generator.state)

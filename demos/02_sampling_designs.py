@@ -36,10 +36,15 @@ for _ in range(m):
     counts[draw(DesignKind.RAO_SAMPFORD, pop, n, rng).indices] += 1
 print(f"\nRao-Sampford empirical inclusion over {m} draws:",
       np.array2string(counts / m, precision=4), " target (0.2 0.4 0.6 0.8)")
+rs = enumerate_design(DesignKind.RAO_SAMPFORD, pop, n)
+exact = np.bincount(rs.batch.indices.ravel(), weights=np.repeat(rs.probs, n))
+print(f"exact inclusion from Sampford's P(s) over all {len(rs)} subsets:",
+      np.array2string(exact, precision=4))
 
 print("\nfull LMS sample space (probability proportional to sample mean of x):")
-for s, p in enumerate_design(DesignKind.LMS, pop, n):
-    print(f"  units {s.indices.tolist()}  P = {p:.6f}")
+support = enumerate_design(DesignKind.LMS, pop, n)
+for units, p in zip(support.batch.indices, support.probs):
+    print(f"  units {units.tolist()}  P = {p:.6f}")
 
 s = draw(DesignKind.RHC, pop, n, rng)
 print("\none RHC draw: units", s.indices.tolist(),

@@ -2,7 +2,8 @@
 
 With the whole sample space enumerated there is no Monte Carlo noise: design
 unbiasedness of the HT and RHC estimators shows up as bias zero to machine
-precision, and the Hajek estimator's small-sample bias becomes visible.
+precision (under Rao-Sampford too, through Sampford's sample probabilities),
+and the Hajek estimator's small-sample bias becomes visible.
 """
 
 import numpy as np
@@ -29,6 +30,8 @@ cases = [
     (DesignKind.LMS, EstimatorKind.HT),
     (DesignKind.LMS, EstimatorKind.HAJEK),
     (DesignKind.LMS, EstimatorKind.RATIO),
+    (DesignKind.RAO_SAMPFORD, EstimatorKind.HT),
+    (DesignKind.RAO_SAMPFORD, EstimatorKind.HAJEK),
     (DesignKind.RHC, EstimatorKind.RHC_EST),
 ]
 print(f"{'design':8s} {'estimator':10s} {'support':>7s} {'bias':>12s} {'mse':>10s}")

@@ -28,6 +28,7 @@ from .asymptotics import (
 from .designs import (
     DesignKind,
     SampleDraw,
+    Support,
     draw,
     enumerate_design,
     inclusion_probabilities,
@@ -120,6 +121,7 @@ __all__ = [
     "ParameterError",
     "Population",
     "SampleDraw",
+    "Support",
     "UndefinedParameterError",
     "UnsupportedQueryError",
     "VARIANCE",

@@ -2,9 +2,9 @@
 Rao-Hartley-Cochran.
 
 Each design can draw a sample (given an externally supplied random
-generator), report its inclusion probabilities where those are fixed, and --
-except for Rao-Sampford -- enumerate its whole sample space with exact
-probabilities for oracle-style verification on tiny populations.
+generator), report its inclusion probabilities where those are fixed, and
+enumerate its whole sample space with exact probabilities for oracle-style
+verification on tiny populations, as one (K, n) batch of all K support points.
 
 Rao-Sampford draws are rejective.  They evaluate their attempts in blocks,
 many per vectorized pass, yet return the sample of the one-attempt-at-a-time
@@ -39,6 +39,7 @@ from .population import Population
 __all__ = [
     "DesignKind",
     "SampleDraw",
+    "Support",
     "inclusion_probabilities",
     "rhc_group_sizes",
     "draw",
@@ -149,16 +150,17 @@ class SampleDraw:
     def n(self) -> int:
         return self.indices.shape[-1]
 
-    def drop(self, position: int) -> "SampleDraw":
-        """The same draw with the unit at ``position`` removed (for jackknifing)."""
-        keep = np.ones(self.n, dtype=bool)
-        keep[position] = False
-        return SampleDraw(
-            design=self.design,
-            indices=self.indices[keep],
-            pi=None if self.pi is None else self.pi[keep],
-            g_totals=None if self.g_totals is None else self.g_totals[keep],
-        )
+
+@dataclass(frozen=True)
+class Support:
+    """A design's whole sample space: row k of the (K, n) ``batch`` is a
+    support point and ``probs[k]`` its exact probability."""
+
+    batch: SampleDraw
+    probs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.probs)
 
 
 def _distinct(idx: np.ndarray) -> np.ndarray:
@@ -353,59 +355,55 @@ def _count_groupings(N: int, sizes: np.ndarray) -> int:
     return total // mult
 
 
-def enumerate_design(
-    design: DesignKind, pop: Population, n: int
-) -> list[tuple[SampleDraw, float]]:
-    """The full sample space of an enumerable design with exact probabilities.
+def enumerate_design(design: DesignKind, pop: Population, n: int) -> Support:
+    """The full sample space of a design with exact probabilities.
 
-    SRSWOR and LMS enumerate all C(N, n) subsets; RHC enumerates every
-    (grouping, within-group selection) outcome.  Rao-Sampford has no
-    closed-form sample probabilities here and is rejected.
+    SRSWOR, LMS and Rao-Sampford enumerate all C(N, n) subsets in
+    lexicographic order; RHC enumerates every (grouping, within-group
+    selection) outcome.  Rao-Sampford probabilities are Sampford's (1967)
+    P(s) proportional to sum_{i in s} (1 - pi_i) prod_{i in s} pi_i / (1 - pi_i).
+    The size is checked against ``ENUMERATION_CAP`` before anything is built.
     """
     _check_n(pop, n)
     N = pop.n_units
-    if design is DesignKind.RAO_SAMPFORD:
-        raise UnsupportedQueryError(
-            "Rao-Sampford sample probabilities are not enumerable here"
-        )
-    if design in (DesignKind.SRSWOR, DesignKind.LMS):
-        n_outcomes = comb(N, n)
-        if n_outcomes > ENUMERATION_CAP:
-            raise EnumerationTooLargeError(
-                f"{n_outcomes} subsets exceed the cap of {ENUMERATION_CAP}"
-            )
-        out: list[tuple[SampleDraw, float]] = []
-        x_bar = pop.x_bar()
-        pi_all = inclusion_probabilities(design, pop, n)
-        for subset in itertools.combinations(range(N), n):
-            idx = np.array(subset, dtype=np.intp)
-            if design is DesignKind.SRSWOR:
-                prob = 1.0 / n_outcomes
-            else:
-                prob = (pop.x[idx].mean() / x_bar) / n_outcomes
-            out.append((SampleDraw(design, idx, pi=pi_all[idx]), prob))
-        return out
+    if design is DesignKind.RHC:
+        return _enumerate_rhc(pop, n)
+    K = comb(N, n)
+    if K > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(f"{K} subsets exceed the cap of {ENUMERATION_CAP}")
+    pi_all = inclusion_probabilities(design, pop, n)
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(N), n))
+    idx = np.fromiter(subsets, np.intp, count=K * n).reshape(K, n)
+    if design is DesignKind.SRSWOR:
+        probs = np.full(K, 1.0 / K)
+    elif design is DesignKind.LMS:
+        probs = (pop.x[idx].mean(axis=1) / pop.x_bar()) / K
+    else:
+        r = pi_all / (1.0 - pi_all)
+        w = (1.0 - pi_all)[idx].sum(axis=1) * r[idx].prod(axis=1)
+        probs = w / w.sum()
+    return Support(SampleDraw(design, idx, pi=pi_all[idx]), probs)
 
+
+def _enumerate_rhc(pop: Population, n: int) -> Support:
+    N = pop.n_units
     sizes = rhc_group_sizes(N, n)
-    n_groupings = _count_groupings(N, sizes)
-    n_outcomes = n_groupings * int(np.prod(sizes))
+    n_groupings, per_grouping = _count_groupings(N, sizes), int(np.prod(sizes))
+    n_outcomes = n_groupings * per_grouping
     if n_outcomes > ENUMERATION_CAP:
         raise EnumerationTooLargeError(
             f"{n_outcomes} grouping/selection outcomes exceed the cap "
             f"of {ENUMERATION_CAP}"
         )
-    p_grouping = 1.0 / n_groupings
-    out = []
-    units = tuple(range(N))
-    sizes_key = tuple(int(s) for s in sizes)
-    for grouping in _iter_groupings(units, sizes_key):
-        totals = [float(pop.x[list(block)].sum()) for block in grouping]
-        for picks in itertools.product(*grouping):
-            prob = p_grouping
-            for j, unit in enumerate(picks):
-                prob *= pop.x[unit] / totals[j]
-            idx = np.array(picks, dtype=np.intp)
-            out.append(
-                (SampleDraw(DesignKind.RHC, idx, g_totals=np.array(totals)), prob)
-            )
-    return out
+    picks, totals = [], []
+    for grouping in _iter_groupings(tuple(range(N)), tuple(sizes.tolist())):
+        outcomes = itertools.chain.from_iterable(itertools.product(*grouping))
+        picks.append(np.fromiter(outcomes, np.intp, count=per_grouping * n))
+        g = [float(pop.x[list(block)].sum()) for block in grouping]
+        totals.append(np.tile(g, (per_grouping, 1)))
+    idx, g_totals = np.concatenate(picks).reshape(-1, n), np.concatenate(totals)
+    # one selection factor per group, multiplied in group order
+    probs = np.full(n_outcomes, 1.0 / n_groupings)
+    for j in range(n):
+        probs *= pop.x[idx[:, j]] / g_totals[:, j]
+    return Support(SampleDraw(DesignKind.RHC, idx, g_totals=g_totals), probs)

@@ -1,20 +1,21 @@
 """Exact design expectations on tiny populations.
 
-Walks the full sample space of an enumerable design and evaluates a plug-in
-estimator at every support point, all points stacked into one batch, yielding
-its exact design expectation and MSE.  This is the ground truth used to verify unbiasedness claims and to
-sanity-check the asymptotic MSE formulas at desk scale.  Exact mode tolerates
-no undefined estimate: any failure on a support point propagates.
+Takes the full sample space of a design -- every support point as one row
+of a single batch, with its exact probability -- and evaluates a plug-in
+estimator over the whole batch in one pass, yielding its exact design
+expectation and MSE.  All four designs enumerate, Rao-Sampford through
+Sampford's closed-form sample probabilities.  This is the ground truth used
+to verify unbiasedness claims and to sanity-check the asymptotic MSE
+formulas at desk scale.  Exact mode tolerates no undefined estimate: any
+failure on a support point propagates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .asymptotics import AsymptoticContext, delta_sq, equivalence_class
-from .designs import DesignKind, SampleDraw, enumerate_design
+from .designs import DesignKind, enumerate_design
 from .errors import FinpopError, row_runs
 from .estimators import EstimatorKind
 from .functionals import Functional, plug_in, population_value
@@ -51,9 +52,7 @@ def exact_moments(
     """Exact expectation and MSE over the design's full sample space."""
     support = enumerate_design(design, pop, n)
     truth = population_value(f, pop)
-    batch = SampleDraw.stack(sample for sample, _ in support)
-    probs = np.array([prob for _, prob in support])
-
+    batch, probs = support.batch, support.probs
     evaluate = lambda lo, hi: plug_in(f, kind, batch[lo:hi], pop)  # noqa: E731
     for i, values, failure in row_runs(evaluate, len(support)):
         if failure is not None:

@@ -4,6 +4,7 @@ import pytest
 from finpop import (
     DesignKind,
     Population,
+    SampleDraw,
     default_bivariate_spec,
     default_univariate_spec,
     generate_bivariate,
@@ -44,6 +45,19 @@ def random_population(rng, N=None, d=1):
     x = rng.uniform(0.5, 4.0, size=N)
     y = rng.normal(size=(N, d)) * 2.0 + 1.0
     return Population(x=x, y=y)
+
+
+def drop_unit(sample, position):
+    """The same one-sample draw with the unit at ``position`` removed: the
+    leave-one-out sample the jackknife's weight matrix stands for."""
+    keep = np.ones(sample.n, dtype=bool)
+    keep[position] = False
+    return SampleDraw(
+        design=sample.design,
+        indices=sample.indices[keep],
+        pi=None if sample.pi is None else sample.pi[keep],
+        g_totals=None if sample.g_totals is None else sample.g_totals[keep],
+    )
 
 
 ALL_DESIGNS = list(DesignKind)

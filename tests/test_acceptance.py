@@ -83,11 +83,10 @@ def test_criterion_01_exact_design_validity():
         n = int(rng.integers(2, 4))
         for design in (S, L, H):
             support = enumerate_design(design, pop, n)
-            worst_total = max(worst_total, abs(sum(p for _, p in support) - 1.0))
+            worst_total = max(worst_total, abs(support.probs.sum() - 1.0))
         lms_support = enumerate_design(L, pop, n)
         freq = np.zeros(pop.n_units)
-        for s, p in lms_support:
-            freq[s.indices] += p
+        np.add.at(freq, lms_support.batch.indices, lms_support.probs[:, None])
         closed = inclusion_probabilities(L, pop, n)
         worst_lms = max(worst_lms, float(np.max(np.abs(freq - closed))))
     elapsed = time.perf_counter() - t0

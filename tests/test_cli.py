@@ -64,6 +64,15 @@ class TestExact:
         assert "bias:         0.000000000000" in out
         assert "support size: 6" in out
 
+    def test_rao_sampford_enumerates_every_subset(self, tiny_csv, capsys):
+        code, out, _ = run_cli(
+            capsys, "exact", "--design", "rs", "--estimator", "ht",
+            "--functional", "mean", "--n", "2", "--pop", str(tiny_csv),
+        )
+        assert code == 0
+        assert "support size: 6" in out  # C(4, 2)
+        assert "bias:         0.000000000000" in out
+
     def test_infeasible_enumeration_exits_2(self, tmp_path, capsys):
         rows = ["x,y"] + [f"{1.0 + i * 0.01},{i}" for i in range(40)]
         big = tmp_path / "big.csv"

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -20,7 +21,7 @@ from finpop import (
     inclusion_probabilities,
     rhc_group_sizes,
 )
-from conftest import random_population
+from conftest import drop_unit, random_population
 
 
 class TestInclusionProbabilities:
@@ -118,6 +119,23 @@ class TestDraw:
         se = np.sqrt(target * (1 - target) / m)
         assert np.all(np.abs(counts / m - target) < 4 * se)
 
+    def test_rao_sampford_sample_frequencies_match_exact(self):
+        # the rejective sampler against Sampford's enumerated P(s), subset
+        # by subset, at N=6, n=3 (20 subsets, smallest P(s) about 0.0016)
+        pop = Population(x=np.arange(1.0, 7.0), y=np.zeros(6))
+        support = enumerate_design(DesignKind.RAO_SAMPFORD, pop, 3)
+        rng = np.random.default_rng(31)
+        m = 10_000
+        drawn = np.array([draw(DesignKind.RAO_SAMPFORD, pop, 3, rng).indices for _ in range(m)])
+        # a subset's bitmask names it whatever the order of its units
+        masks = (1 << drawn).sum(axis=1)
+        observed = np.array([(masks == k).sum() for k in (1 << support.batch.indices).sum(axis=1)])
+        assert observed.sum() == m
+        expected = m * support.probs
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+        z = (observed - expected) / np.sqrt(expected * (1 - support.probs))
+        assert np.abs(z).max() < 4.0
+
     def test_rhc_draw_invariants(self, pop5):
         rng = np.random.default_rng(17)
         for _ in range(200):
@@ -144,18 +162,57 @@ class TestDraw:
             np.testing.assert_array_equal(a.indices, b.indices)
 
 
+def _inclusion(support, N):
+    """Sum of the support probabilities of the points holding each unit."""
+    idx = support.batch.indices
+    return np.bincount(idx.ravel(), weights=np.repeat(support.probs, idx.shape[1]), minlength=N)
+
+
+def _reference_support(design, pop, n):
+    """The per-point enumeration: one validated draw and one float per
+    support point, stacked afterwards."""
+    N = pop.n_units
+    out = []
+    if design is not DesignKind.RHC:
+        K = comb(N, n)
+        pi_all = inclusion_probabilities(design, pop, n)
+        for subset in combinations(range(N), n):
+            idx = np.array(subset, dtype=np.intp)
+            if design is DesignKind.SRSWOR:
+                prob = 1.0 / K
+            else:
+                prob = (pop.x[idx].mean() / pop.x_bar()) / K
+            out.append((SampleDraw(design, idx, pi=pi_all[idx]), prob))
+    else:
+        sizes = rhc_group_sizes(N, n)
+        groupings = list(designs._iter_groupings(tuple(range(N)), tuple(sizes.tolist())))
+        p_grouping = 1.0 / len(groupings)
+        for grouping in groupings:
+            totals = [float(pop.x[list(block)].sum()) for block in grouping]
+            for picks in product(*grouping):
+                prob = p_grouping
+                for j, unit in enumerate(picks):
+                    prob *= pop.x[unit] / totals[j]
+                idx = np.array(picks, dtype=np.intp)
+                out.append((SampleDraw(DesignKind.RHC, idx, g_totals=np.array(totals)), prob))
+    return SampleDraw.stack(s for s, _ in out), np.array([p for _, p in out])
+
+
 class TestEnumerate:
     def test_srswor_uniform(self, pop4):
         support = enumerate_design(DesignKind.SRSWOR, pop4, 2)
         assert len(support) == 6
-        for _, p in support:
+        for p in support.probs:
             assert p == pytest.approx(1 / 6)
 
     def test_lms_probabilities(self, pop4):
         support = enumerate_design(DesignKind.LMS, pop4, 2)
-        total = sum(p for _, p in support)
+        total = support.probs.sum()
         assert abs(total - 1.0) < 1e-12
-        by_set = {frozenset(s.indices.tolist()): p for s, p in support}
+        by_set = {
+            frozenset(row.tolist()): p
+            for row, p in zip(support.batch.indices, support.probs)
+        }
         assert by_set[frozenset({0, 1})] == pytest.approx(0.1, abs=1e-15)
         assert by_set[frozenset({2, 3})] == pytest.approx(7 / 30, abs=1e-15)
 
@@ -166,38 +223,95 @@ class TestEnumerate:
             pop = random_population(rng, N=int(rng.integers(4, 8)))
             n = int(rng.integers(2, pop.n_units))
             support = enumerate_design(design, pop, n)
-            freq = np.zeros(pop.n_units)
-            for s, p in support:
-                freq[s.indices] += p
             np.testing.assert_allclose(
-                freq, inclusion_probabilities(design, pop, n), atol=1e-12
+                _inclusion(support, pop.n_units),
+                inclusion_probabilities(design, pop, n),
+                atol=1e-12,
             )
 
     def test_rhc_support(self, pop5):
         support = enumerate_design(DesignKind.RHC, pop5, 2)
         # 10 groupings into sizes (2,3) x 6 within-group picks
         assert len(support) == 60
-        assert abs(sum(p for _, p in support) - 1.0) < 1e-12
-        for s, p in support:
-            assert p >= 0
-            assert s.g_totals.sum() == pytest.approx(pop5.x_total(), abs=1e-12)
+        assert abs(support.probs.sum() - 1.0) < 1e-12
+        assert (support.probs >= 0).all()
+        np.testing.assert_allclose(
+            support.batch.g_totals.sum(axis=1), pop5.x_total(), atol=1e-12, rtol=0
+        )
 
     def test_rhc_grouping_count_with_equal_sizes(self):
         pop = Population(x=np.arange(1.0, 7.0), y=np.zeros(6))
         support = enumerate_design(DesignKind.RHC, pop, 2)
         # partitions of 6 units into two unlabeled blocks of 3: 10; picks: 9
         assert len(support) == 90
-        assert abs(sum(p for _, p in support) - 1.0) < 1e-12
+        assert abs(support.probs.sum() - 1.0) < 1e-12
 
-    def test_rao_sampford_not_enumerable(self, pop4):
-        with pytest.raises(UnsupportedQueryError):
-            enumerate_design(DesignKind.RAO_SAMPFORD, pop4, 2)
+    def test_rao_sampford_support(self, pop4):
+        # pi = (0.2, 0.4, 0.6, 0.8): P(s) is proportional to
+        # (2 - pi_i - pi_j) r_i r_j with r = pi / (1 - pi)
+        support = enumerate_design(DesignKind.RAO_SAMPFORD, pop4, 2)
+        assert len(support) == comb(4, 2)
+        np.testing.assert_array_equal(
+            support.batch.indices, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+        )
+        pi = np.array([0.2, 0.4, 0.6, 0.8])
+        r = pi / (1 - pi)
+        w = np.array([(2 - pi[i] - pi[j]) * r[i] * r[j] for i, j in support.batch.indices])
+        np.testing.assert_allclose(support.probs, w / w.sum(), rtol=1e-14)
+        np.testing.assert_array_equal(support.batch.pi, pi[support.batch.indices])
+
+    def test_rao_sampford_inclusion_equals_pi(self):
+        rng = np.random.default_rng(29)
+        checked = 0
+        while checked < 30:
+            pop = random_population(rng, N=int(rng.integers(5, 10)))
+            n = int(rng.integers(2, min(5, pop.n_units)))
+            if (n * pop.x / pop.x_total() >= 1).any():
+                continue
+            checked += 1
+            support = enumerate_design(DesignKind.RAO_SAMPFORD, pop, n)
+            assert len(support) == comb(pop.n_units, n)
+            assert abs(support.probs.sum() - 1.0) < 1e-14
+            np.testing.assert_allclose(
+                _inclusion(support, pop.n_units),
+                inclusion_probabilities(DesignKind.RAO_SAMPFORD, pop, n),
+                atol=1e-14,
+                rtol=0,
+            )
+
+    def test_rao_sampford_infeasible(self):
+        pop = Population(x=np.array([1.0, 1.0, 1.0, 10.0]), y=np.zeros(4))
+        with pytest.raises(InfeasibleError):
+            enumerate_design(DesignKind.RAO_SAMPFORD, pop, 2)
+
+    @pytest.mark.parametrize(
+        "design, N, n, pops",
+        [(d, N, n, 3) for d in (DesignKind.SRSWOR, DesignKind.LMS)
+         for N, n in ((12, 4), (9, 2), (10, 3), (7, 3), (9, 8))]
+        + [(DesignKind.RHC, 9, 2, 3), (DesignKind.RHC, 7, 3, 3),
+           (DesignKind.RHC, 10, 3, 1), (DesignKind.RHC, 8, 4, 3)],
+    )
+    def test_support_matches_per_point_reference(self, design, N, n, pops):
+        # every index, probability and pi / g_totals double of the per-point
+        # enumeration; RHC at N=7 and N=10, n=3 has groups of uneven sizes
+        rng = np.random.default_rng(N * 100 + n)
+        for _ in range(pops):
+            pop = random_population(rng, N=N)
+            support = enumerate_design(design, pop, n)
+            batch, probs = _reference_support(design, pop, n)
+            np.testing.assert_array_equal(support.batch.indices, batch.indices)
+            np.testing.assert_array_equal(support.probs, probs)
+            if design.is_pi_based:
+                np.testing.assert_array_equal(support.batch.pi, batch.pi)
+            else:
+                np.testing.assert_array_equal(support.batch.g_totals, batch.g_totals)
 
     def test_enumeration_cap(self):
         pop = Population(x=np.ones(40) + np.arange(40) * 0.01, y=np.zeros(40))
         assert comb(40, 15) > 1_000_000
-        with pytest.raises(EnumerationTooLargeError):
-            enumerate_design(DesignKind.SRSWOR, pop, 15)
+        for design in (DesignKind.SRSWOR, DesignKind.LMS, DesignKind.RAO_SAMPFORD):
+            with pytest.raises(EnumerationTooLargeError):
+                enumerate_design(design, pop, 15)
 
 
 class TestSampleDraw:
@@ -245,7 +359,7 @@ class TestSampleDraw:
         s = SampleDraw(
             DesignKind.SRSWOR, np.array([4, 7, 9]), pi=np.array([0.2, 0.3, 0.4])
         )
-        t = s.drop(1)
+        t = drop_unit(s, 1)
         np.testing.assert_array_equal(t.indices, [4, 9])
         np.testing.assert_allclose(t.pi, [0.2, 0.4])
 

@@ -28,7 +28,7 @@ from finpop import (
 )
 from finpop.estimators import estimate_mean_rows
 from finpop.inference import supports_variance_estimate, variance_estimate
-from conftest import random_population
+from conftest import drop_unit, random_population
 from test_estimators import srswor_sample
 
 
@@ -277,7 +277,7 @@ def loo_reference(sample, pop, f, kind):
     undefined, that unit."""
     means, values = [], []
     for i in range(sample.n):
-        s_i = sample.drop(i)
+        s_i = drop_unit(sample, i)
         try:
             means.append(estimate_mean(kind, s_i, pop, f.h(pop.y[s_i.indices])))
             values.append(plug_in(f, kind, s_i, pop))

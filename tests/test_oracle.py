@@ -1,4 +1,5 @@
 import re
+from math import comb
 
 import numpy as np
 import pytest
@@ -38,6 +39,19 @@ class TestExactMoments:
         assert s.support_size == 60
         assert abs(s.bias) < 1e-12
 
+    def test_ht_unbiased_under_rao_sampford(self):
+        rng = np.random.default_rng(53)
+        checked = 0
+        while checked < 20:
+            pop = random_population(rng, N=int(rng.integers(5, 10)))
+            n = int(rng.integers(2, 4))
+            if (n * pop.x / pop.x_total() >= 1).any():
+                continue
+            s = exact_moments(DesignKind.RAO_SAMPFORD, pop, n, EstimatorKind.HT, MEAN)
+            assert s.support_size == comb(pop.n_units, n)
+            assert abs(s.bias) <= 1e-12
+            checked += 1
+
     def test_hajek_biased_under_lms(self, pop4):
         s = exact_moments(DesignKind.LMS, pop4, 2, EstimatorKind.HAJEK, MEAN)
         assert abs(s.bias) > 1e-6
@@ -61,16 +75,16 @@ class TestExactMoments:
     def test_error_names_the_first_undefined_support_point(self):
         # the first infeasible subset in enumeration order, as a loop finds it
         pop = Population(x=np.array([1.0, 16.0, 1.0, 1.0, 1.0]), y=np.arange(5.0))
-        support = enumerate_design(DesignKind.SRSWOR, pop, 2)
+        batch = enumerate_design(DesignKind.SRSWOR, pop, 2).batch
         first = None
-        for i, (sample, _) in enumerate(support):
+        for i in range(len(batch.indices)):
             try:
-                plug_in(MEAN, EstimatorKind.PEML, sample, pop)
+                plug_in(MEAN, EstimatorKind.PEML, batch[i], pop)
             except FinpopError:
                 first = i
                 break
         assert first is not None and first > 0
-        units = support[first][0].indices.tolist()
+        units = batch.indices[first].tolist()
         message = re.escape(f"support point {first} (units {units})")
         with pytest.raises(FinpopError, match=message):
             exact_moments(DesignKind.SRSWOR, pop, 2, EstimatorKind.PEML, MEAN)
@@ -81,11 +95,14 @@ class TestExactMoments:
             (DesignKind.SRSWOR, EstimatorKind.GREG),
             (DesignKind.LMS, EstimatorKind.RATIO),
             (DesignKind.RHC, EstimatorKind.GREG),
+            (DesignKind.RAO_SAMPFORD, EstimatorKind.HAJEK),
         ):
             pop = random_population(rng, N=7)
             support = enumerate_design(design, pop, 3)
-            values = np.array([plug_in(MEAN, kind, s, pop) for s, _ in support])
-            probs = np.array([p for _, p in support])
+            values = np.array(
+                [plug_in(MEAN, kind, support.batch[i], pop) for i in range(len(support))]
+            )
+            probs = support.probs
             s = exact_moments(design, pop, 3, kind, MEAN)
             assert s.expectation == float(probs @ values)
             assert s.mse == float(probs @ (values - s.truth) ** 2)

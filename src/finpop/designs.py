@@ -23,7 +23,6 @@ import enum
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterator
 
 import numpy as np
 
@@ -317,30 +316,39 @@ def draw(
     return _draw_rhc(pop, n, rng)
 
 
-def _iter_groupings(
-    units: tuple[int, ...], sizes: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All partitions of ``units`` into unlabeled blocks of the given sizes.
+def _groupings(
+    m: int, sizes: tuple[int, ...]
+) -> tuple[np.ndarray, list[tuple[int, ...]], np.ndarray]:
+    """All partitions of units 0..m-1 into unlabeled blocks of the given sizes,
+    depth first: unit 0's block by each *distinct* size in turn, then its
+    companions in lexicographic order, then the partition of the rest.
 
-    Each partition is produced exactly once: the smallest unassigned unit is
-    placed in a block of each remaining *distinct* size in turn.
+    Returns ``layout``, (G, m), each partition's units block after block, the
+    distinct block-size ``orders`` and each row's position ``which`` in them.
+    The tails are the same positions for every choice of companions, so there
+    is one recursion per distinct anchor size, not one per partition.
     """
     if not sizes:
-        yield ()
-        return
-    anchor = units[0]
-    others = units[1:]
-    tried: set[int] = set()
-    for i, size in enumerate(sizes):
-        if size in tried:
-            continue
-        tried.add(size)
-        rest_sizes = sizes[:i] + sizes[i + 1 :]
-        for members in itertools.combinations(others, size - 1):
-            block = (anchor, *members)
-            remaining = tuple(u for u in others if u not in members)
-            for tail in _iter_groupings(remaining, rest_sizes):
-                yield (block, *tail)
+        return np.zeros((1, 0), np.intp), [()], np.zeros(1, np.intp)
+    layouts, orders, which = [], [], []
+    for s in dict.fromkeys(sizes):
+        i = sizes.index(s)
+        tail, tail_orders, tail_which = _groupings(m - s, sizes[:i] + sizes[i + 1 :])
+        c = comb(m - 1, s - 1)
+        companions = itertools.chain.from_iterable(
+            itertools.combinations(range(1, m), s - 1)
+        )
+        head = np.zeros((c, s), np.intp)
+        head[:, 1:] = np.fromiter(companions, np.intp, count=c * (s - 1)).reshape(c, s - 1)
+        # the units left over, ascending, for each choice of companions
+        free = np.ones((c, m), bool)
+        free[np.arange(c)[:, None], head] = False
+        rest = np.nonzero(free)[1].reshape(c, m - s)
+        heads = np.repeat(head, len(tail), axis=0)
+        layouts.append(np.hstack([heads, rest[:, tail].reshape(len(heads), m - s)]))
+        which.append(len(orders) + np.tile(tail_which, c))
+        orders += [(s, *order) for order in tail_orders]
+    return np.concatenate(layouts), orders, np.concatenate(which)
 
 
 def _count_groupings(N: int, sizes: np.ndarray) -> int:
@@ -358,10 +366,13 @@ def _count_groupings(N: int, sizes: np.ndarray) -> int:
 def enumerate_design(design: DesignKind, pop: Population, n: int) -> Support:
     """The full sample space of a design with exact probabilities.
 
+    Built as arrays, with no Python step per support point or grouping.
     SRSWOR, LMS and Rao-Sampford enumerate all C(N, n) subsets in
-    lexicographic order; RHC enumerates every (grouping, within-group
-    selection) outcome.  Rao-Sampford probabilities are Sampford's (1967)
-    P(s) proportional to sum_{i in s} (1 - pi_i) prod_{i in s} pi_i / (1 - pi_i).
+    lexicographic order.  RHC enumerates every (grouping, within-group
+    selection) outcome, groupings depth first (see ``_groupings``) and each
+    grouping's picks as the product of its blocks, the first varying slowest.
+    Rao-Sampford probabilities are Sampford's (1967) P(s) proportional to
+    sum_{i in s} (1 - pi_i) prod_{i in s} pi_i / (1 - pi_i).
     The size is checked against ``ENUMERATION_CAP`` before anything is built.
     """
     _check_n(pop, n)
@@ -386,6 +397,10 @@ def enumerate_design(design: DesignKind, pop: Population, n: int) -> Support:
 
 
 def _enumerate_rhc(pop: Population, n: int) -> Support:
+    """RHC's support: groupings sharing a block-size order share one template
+    of within-layout positions, so their picks are one gather and each block's
+    x-totals one row-wise sum.  An outcome's probability is 1 / G times one
+    selection factor per group, multiplied in group order."""
     N = pop.n_units
     sizes = rhc_group_sizes(N, n)
     n_groupings, per_grouping = _count_groupings(N, sizes), int(np.prod(sizes))
@@ -395,14 +410,23 @@ def _enumerate_rhc(pop: Population, n: int) -> Support:
             f"{n_outcomes} grouping/selection outcomes exceed the cap "
             f"of {ENUMERATION_CAP}"
         )
-    picks, totals = [], []
-    for grouping in _iter_groupings(tuple(range(N)), tuple(sizes.tolist())):
-        outcomes = itertools.chain.from_iterable(itertools.product(*grouping))
-        picks.append(np.fromiter(outcomes, np.intp, count=per_grouping * n))
-        g = [float(pop.x[list(block)].sum()) for block in grouping]
-        totals.append(np.tile(g, (per_grouping, 1)))
-    idx, g_totals = np.concatenate(picks).reshape(-1, n), np.concatenate(totals)
-    # one selection factor per group, multiplied in group order
+    layout, orders, which = _groupings(N, tuple(sizes.tolist()))
+    idx = np.empty((n_groupings, per_grouping, n), np.intp)
+    totals = np.empty((n_groupings, n))
+    for k, order in enumerate(orders):
+        rows = which == k
+        ends = itertools.accumulate(order)
+        blocks = [range(e - b, e) for b, e in zip(order, ends)]
+        template = np.fromiter(
+            itertools.chain.from_iterable(itertools.product(*blocks)),
+            np.intp,
+            count=per_grouping * n,
+        ).reshape(per_grouping, n)
+        units = layout[rows]
+        idx[rows] = units[:, template]
+        for j, block in enumerate(blocks):
+            totals[rows, j] = pop.x[units[:, block.start : block.stop]].sum(axis=1)
+    idx, g_totals = idx.reshape(-1, n), np.repeat(totals, per_grouping, axis=0)
     probs = np.full(n_outcomes, 1.0 / n_groupings)
     for j in range(n):
         probs *= pop.x[idx[:, j]] / g_totals[:, j]

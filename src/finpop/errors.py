@@ -3,8 +3,11 @@
 Everything raised on purpose derives from :class:`FinpopError` so callers can
 catch library failures without swallowing programming errors.  A row-wise
 evaluation (one row per sample or per leave-one-out sample) names its first
-failing row, and ``row_runs`` walks such an evaluation past its failures.
+failing row, and ``rows_that_evaluate`` walks such an evaluation past its
+failures.
 """
+
+import numpy as np
 
 
 class FinpopError(Exception):
@@ -18,30 +21,38 @@ class FinpopError(Exception):
         return self
 
 
-def row_runs(evaluate, m: int):
-    """Evaluate rows 0..m-1 of a row-wise computation, row failures included.
+def rows_that_evaluate(evaluate, m: int, *, stop_at_failure: bool = False):
+    """Evaluate rows 0..m-1 of a row-wise computation, leaving out the rows
+    that fail.
 
     ``evaluate(lo, hi)`` returns the values of rows lo..hi-1 or raises a
     :class:`FinpopError` whose ``row`` is its first failing row, counted from
-    lo.  Yields ``(lo, values, None)`` for each run of rows that evaluate and
-    ``(row, None, error)`` for each failing row, in row order, so that a
-    caller may stop at the first failure.  The rows before a failing row are
-    evaluated again, since one of them may fail a later check.
+    lo; the rows before a failing row are evaluated again, since one of them
+    may fail a later check.  Returns ``(kept, values, failure)``: the
+    positions of the rows that evaluate, their values, and ``(row, error)``
+    for the first failing row, or None.  With ``stop_at_failure`` nothing
+    after the first failing row is evaluated; otherwise its error carries no
+    traceback, whose frames would hold their arrays while later rows run.
     """
+    kept, values, failure = [], [], None
     lo = 0
-    while lo < m:
+    while lo < m and not (failure and stop_at_failure):
         hi, error = m, None
         while hi > lo:
             try:
-                values = evaluate(lo, hi)
+                values.append(evaluate(lo, hi))
             except FinpopError as exc:
                 hi, error = lo + exc.row, exc
             else:
-                yield lo, values, None
+                kept.append(np.arange(lo, hi))
                 break
-        if error is not None:
-            yield hi, None, error
+        if error is not None and failure is None:
+            failure = (hi, error if stop_at_failure else error.with_traceback(None))
         lo = hi + 1
+    if len(values) == 1:  # one run of rows: its values need no copy
+        return kept[0], values[0], failure
+    kept, values = [np.empty(0, dtype=int), *kept], [np.empty(0), *values]
+    return np.concatenate(kept), np.concatenate(values), failure
 
 
 class ParameterError(FinpopError, ValueError):

@@ -36,7 +36,7 @@ from .errors import (
     DegenerateError,
     JackknifeFailureError,
     ParameterError,
-    row_runs,
+    rows_that_evaluate,
 )
 from .estimators import (
     EstimatorKind,
@@ -264,10 +264,10 @@ def jackknife_bc(
     def leave_out(lo, hi):
         return f.g(estimate_mean_rows(kind, weights[lo:hi], x_s, pop.x_bar(), h))
 
-    for row, loo, failure in row_runs(leave_out, n):
-        if failure is not None:
-            unit = int(sample.indices[row])
-            message = f"leave-one-out estimate undefined without unit {unit}: {failure}"
-            raise JackknifeFailureError(message, unit=unit) from failure
-    # without a failure, the one run of rows is all of them
+    _, loo, failure = rows_that_evaluate(leave_out, n, stop_at_failure=True)
+    if failure is not None:
+        row, error = failure
+        unit = int(sample.indices[row])
+        message = f"leave-one-out estimate undefined without unit {unit}: {error}"
+        raise JackknifeFailureError(message, unit=unit) from error
     return n * full - (n - 1) * float(loo.sum()) / n

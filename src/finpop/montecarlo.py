@@ -27,7 +27,7 @@ from math import nan
 import numpy as np
 
 from .designs import DesignKind, SampleDraw, _check_n, draw, inclusion_probabilities
-from .errors import FinpopError, ParameterError, row_runs
+from .errors import FinpopError, ParameterError, rows_that_evaluate
 from .estimators import EstimatorKind, valid_pair
 from .functionals import _RATIO_SAFE, Functional, FunctionalKind, plug_in, population_value
 from .inference import (
@@ -239,19 +239,7 @@ class ExperimentReport:
 
 def _replicate_rng(seed: int, n: int, design: DesignKind, replicate: int):
     ss = np.random.SeedSequence([seed, n, _DESIGN_ID[design], replicate])
-    return np.random.default_rng(ss)
-
-
-def _rows_that_evaluate(evaluate, batch: SampleDraw):
-    """Apply ``evaluate`` to the batch, leaving out the rows that fail: the
-    positions of the rows kept and their values."""
-    kept, values = [np.empty(0, dtype=int)], [np.empty(0)]
-    runs = row_runs(lambda lo, hi: evaluate(batch[lo:hi]), len(batch.indices))
-    for lo, vals, failure in runs:
-        if failure is None:
-            kept.append(np.arange(lo, lo + len(vals)))
-            values.append(vals)
-    return np.concatenate(kept), np.concatenate(values)
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _cell_result(
@@ -262,12 +250,14 @@ def _cell_result(
     for.  An undefined estimate counts against the estimate and the
     jackknife."""
     pop, f, kind, n = cfg.population, cell.functional, cell.estimator, batch.n
-    ok, est = _rows_that_evaluate(lambda b: plug_in(f, kind, b, pop), batch)
+    ok, est, _ = rows_that_evaluate(
+        lambda lo, hi: plug_in(f, kind, batch[lo:hi], pop), cfg.replicates
+    )
     lengths, covered = np.empty(0), 0
     if supports_variance_estimate(kind, cell.design) and ok.size:
         rows = batch if ok.size == cfg.replicates else batch[ok]
-        with_var, var = _rows_that_evaluate(
-            lambda b: variance_estimate(b, pop, f, kind), rows
+        with_var, var, _ = rows_that_evaluate(
+            lambda lo, hi: variance_estimate(rows[lo:hi], pop, f, kind), ok.size
         )
         if with_var.size:
             ci = confidence_interval(est[with_var], np.maximum(var, 0.0), n, cfg.ci_level)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .asymptotics import AsymptoticContext, delta_sq, equivalence_class
 from .designs import DesignKind, enumerate_design
-from .errors import FinpopError, row_runs
+from .errors import FinpopError, rows_that_evaluate
 from .estimators import EstimatorKind
 from .functionals import Functional, plug_in, population_value
 from .population import Population
@@ -54,13 +54,13 @@ def exact_moments(
     truth = population_value(f, pop)
     batch, probs = support.batch, support.probs
     evaluate = lambda lo, hi: plug_in(f, kind, batch[lo:hi], pop)  # noqa: E731
-    for i, values, failure in row_runs(evaluate, len(support)):
-        if failure is not None:
-            raise FinpopError(
-                f"estimate undefined on support point {i} "
-                f"(units {batch.indices[i].tolist()}): {failure}"
-            ) from failure
-    # without a failure, the one run of rows is the whole support
+    _, values, failure = rows_that_evaluate(evaluate, len(support), stop_at_failure=True)
+    if failure is not None:
+        i, error = failure
+        raise FinpopError(
+            f"estimate undefined on support point {i} "
+            f"(units {batch.indices[i].tolist()}): {error}"
+        ) from error
     expectation = float(probs @ values)
     mse = float(probs @ (values - truth) ** 2)
     return ExactSummary(

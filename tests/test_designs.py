@@ -168,6 +168,24 @@ def _inclusion(support, N):
     return np.bincount(idx.ravel(), weights=np.repeat(support.probs, idx.shape[1]), minlength=N)
 
 
+def _reference_groupings(units, sizes):
+    """All partitions of ``units`` into unlabeled blocks of the given sizes,
+    one recursive step per partition: the smallest unassigned unit anchors a
+    block of each remaining *distinct* size in turn."""
+    if not sizes:
+        yield ()
+        return
+    anchor, others = units[0], units[1:]
+    for i, size in enumerate(sizes):
+        if size in sizes[:i]:
+            continue
+        rest_sizes = sizes[:i] + sizes[i + 1 :]
+        for members in combinations(others, size - 1):
+            remaining = tuple(u for u in others if u not in members)
+            for tail in _reference_groupings(remaining, rest_sizes):
+                yield ((anchor, *members), *tail)
+
+
 def _reference_support(design, pop, n):
     """The per-point enumeration: one validated draw and one float per
     support point, stacked afterwards."""
@@ -185,7 +203,7 @@ def _reference_support(design, pop, n):
             out.append((SampleDraw(design, idx, pi=pi_all[idx]), prob))
     else:
         sizes = rhc_group_sizes(N, n)
-        groupings = list(designs._iter_groupings(tuple(range(N)), tuple(sizes.tolist())))
+        groupings = list(_reference_groupings(tuple(range(N)), tuple(sizes.tolist())))
         p_grouping = 1.0 / len(groupings)
         for grouping in groupings:
             totals = [float(pop.x[list(block)].sum()) for block in grouping]
@@ -289,11 +307,13 @@ class TestEnumerate:
         [(d, N, n, 3) for d in (DesignKind.SRSWOR, DesignKind.LMS)
          for N, n in ((12, 4), (9, 2), (10, 3), (7, 3), (9, 8))]
         + [(DesignKind.RHC, 9, 2, 3), (DesignKind.RHC, 7, 3, 3),
-           (DesignKind.RHC, 10, 3, 1), (DesignKind.RHC, 8, 4, 3)],
+           (DesignKind.RHC, 10, 3, 1), (DesignKind.RHC, 8, 4, 3),
+           (DesignKind.RHC, 8, 3, 2), (DesignKind.RHC, 9, 4, 1)],
     )
     def test_support_matches_per_point_reference(self, design, N, n, pops):
         # every index, probability and pi / g_totals double of the per-point
-        # enumeration; RHC at N=7 and N=10, n=3 has groups of uneven sizes
+        # enumeration; RHC groups have uneven sizes at (7, 3): 2, 2, 3,
+        # (8, 3): 2, 3, 3, (9, 4): 2, 2, 2, 3 and (10, 3): 3, 3, 4
         rng = np.random.default_rng(N * 100 + n)
         for _ in range(pops):
             pop = random_population(rng, N=N)
@@ -312,6 +332,17 @@ class TestEnumerate:
         for design in (DesignKind.SRSWOR, DesignKind.LMS, DesignKind.RAO_SAMPFORD):
             with pytest.raises(EnumerationTooLargeError):
                 enumerate_design(design, pop, 15)
+
+    def test_rhc_enumeration_cap_is_checked_before_building(self, monkeypatch):
+        # N=40, n=3 has about 3e20 outcomes: the count alone must refuse it
+        pop = Population(x=np.ones(40) + np.arange(40) * 0.01, y=np.zeros(40))
+
+        def build(*args):
+            raise AssertionError("the support was built")
+
+        monkeypatch.setattr(designs, "_groupings", build)
+        with pytest.raises(EnumerationTooLargeError, match="exceed the cap"):
+            enumerate_design(DesignKind.RHC, pop, 3)
 
 
 class TestSampleDraw:

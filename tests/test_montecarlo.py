@@ -65,6 +65,23 @@ class TestScalarOps:
             relative_efficiency(0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "seed, n, design, r",
+    [(9, 5, DesignKind.SRSWOR, 0), (11, 12, DesignKind.RHC, 29),
+     (123, 6, DesignKind.RAO_SAMPFORD, 3), (2, 4, DesignKind.LMS, 11)],
+)
+def test_replicate_rng_is_the_default_rng_stream(seed, n, design, r):
+    # the replicate generator is built without default_rng, on the same stream
+    rng = _replicate_rng(seed, n, design, r)
+    ss = np.random.SeedSequence([seed, n, list(DesignKind).index(design), r])
+    reference = np.random.default_rng(ss)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    np.testing.assert_array_equal(rng.random(16), reference.random(16))
+    pop = small_pop()
+    a, b = draw(design, pop, n, rng), draw(design, pop, n, reference)
+    np.testing.assert_array_equal(a.indices, b.indices)
+
+
 class TestRunExperiment:
     def test_single_replicate_is_single_squared_error(self):
         pop = small_pop()

@@ -15,144 +15,28 @@ Submodules:
 * ``montecarlo``  -- seeded replicate runner (MSEs, relative efficiencies,
   interval statistics)
 * ``oracle``      -- exact design expectations on tiny populations
+* ``errors``      -- the exception hierarchy
+
+Each submodule's ``__all__`` is its public part, and the package's ``__all__``
+is their concatenation.  Other names stay importable by module path.
 """
 
-from .asymptotics import (
-    AsymptoticContext,
-    MomentSummary,
-    check_c6,
-    delta_sq,
-    equivalence_class,
-    gamma_coeff,
-)
-from .designs import (
-    DesignKind,
-    SampleDraw,
-    Support,
-    draw,
-    enumerate_design,
-    inclusion_probabilities,
-    rhc_group_sizes,
-)
-from .errors import (
-    CombinationError,
-    ConvergenceError,
-    DegenerateError,
-    DrawFailureError,
-    EnumerationTooLargeError,
-    FinpopError,
-    InfeasibleError,
-    IngestionError,
-    JackknifeFailureError,
-    ParameterError,
-    UndefinedParameterError,
-    UnsupportedQueryError,
-)
-from .estimators import (
-    EstimatorKind,
-    design_weights,
-    estimate_mean,
-    peml_weights,
-    valid_pair,
-)
-from .functionals import (
-    CORRELATION,
-    MEAN,
-    VARIANCE,
-    Functional,
-    FunctionalKind,
-    plug_in,
-    population_value,
-    regression_coef,
-)
-from .inference import (
-    ConfidenceInterval,
-    confidence_interval,
-    jackknife_bc,
-    variance_est_pi,
-    variance_est_rhc,
-)
-from .montecarlo import (
-    Cell,
-    ExperimentConfig,
-    ExperimentReport,
-    empirical_mse,
-    relative_efficiency,
-    run_experiment,
-)
-from .oracle import ExactSummary, exact_moments, exact_vs_formula
-from .population import (
-    LinearModelSpec,
-    Population,
-    default_bivariate_spec,
-    default_univariate_spec,
-    generate_bivariate,
-    generate_univariate,
-    load_csv,
-    write_csv,
-)
+from . import asymptotics, designs, errors, estimators, functionals
+from . import inference, montecarlo, oracle, population
+from .asymptotics import *  # noqa: F403
+from .designs import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .functionals import *  # noqa: F403
+from .inference import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .population import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticContext",
-    "Cell",
-    "CombinationError",
-    "ConfidenceInterval",
-    "ConvergenceError",
-    "CORRELATION",
-    "DegenerateError",
-    "DesignKind",
-    "DrawFailureError",
-    "EnumerationTooLargeError",
-    "EstimatorKind",
-    "ExactSummary",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "FinpopError",
-    "Functional",
-    "FunctionalKind",
-    "InfeasibleError",
-    "IngestionError",
-    "JackknifeFailureError",
-    "LinearModelSpec",
-    "MEAN",
-    "MomentSummary",
-    "ParameterError",
-    "Population",
-    "SampleDraw",
-    "Support",
-    "UndefinedParameterError",
-    "UnsupportedQueryError",
-    "VARIANCE",
-    "check_c6",
-    "confidence_interval",
-    "default_bivariate_spec",
-    "default_univariate_spec",
-    "delta_sq",
-    "design_weights",
-    "draw",
-    "empirical_mse",
-    "enumerate_design",
-    "equivalence_class",
-    "estimate_mean",
-    "exact_moments",
-    "exact_vs_formula",
-    "gamma_coeff",
-    "generate_bivariate",
-    "generate_univariate",
-    "inclusion_probabilities",
-    "jackknife_bc",
-    "load_csv",
-    "peml_weights",
-    "plug_in",
-    "population_value",
-    "regression_coef",
-    "relative_efficiency",
-    "rhc_group_sizes",
-    "run_experiment",
-    "valid_pair",
-    "variance_est_pi",
-    "variance_est_rhc",
-    "write_csv",
-]
+_MODULES = (
+    asymptotics, designs, errors, estimators, functionals,
+    inference, montecarlo, oracle, population,
+)
+__all__ = [name for module in _MODULES for name in module.__all__]

@@ -48,8 +48,6 @@ from .population import (
     write_csv,
 )
 
-_USAGE_ERRORS = (ParameterError, IngestionError, CombinationError)
-
 _FUNCTIONALS = {
     "mean": MEAN,
     "variance": VARIANCE,
@@ -65,6 +63,9 @@ _ESTIMATORS = {e.value: e for e in EstimatorKind}
 
 class _UsageError(Exception):
     pass
+
+
+_USAGE_ERRORS = (_UsageError, ParameterError, IngestionError, CombinationError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,6 +90,22 @@ def _lookup(what: str, choices: dict, name: str):
         ) from None
 
 
+def _generate(model, n_pop, seed, alpha, beta, sigma, gamma_mean, gamma_sd) -> Population:
+    """A synthetic ``model`` population; a None parameter keeps the default
+    spec's value, any other value (0 included) replaces it."""
+    base = default_univariate_spec() if model == "univariate" else default_bivariate_spec()
+    keep = lambda value, default: default if value is None else value  # noqa: E731
+    spec = LinearModelSpec(
+        alpha=keep(alpha, base.alphas.tolist()),
+        beta=keep(beta, base.betas.tolist()),
+        sigma_eps=keep(sigma, base.sigmas.tolist()),
+        gamma_mean=keep(gamma_mean, base.gamma_mean),
+        gamma_sd=keep(gamma_sd, base.gamma_sd),
+    )
+    gen = generate_univariate if model == "univariate" else generate_bivariate
+    return gen(spec, n_pop, seed)
+
+
 def _load_pop(args) -> Population:
     y_cols = args.y_columns.split(",") if args.y_columns else None
     if y_cols is None:
@@ -103,27 +120,10 @@ def _load_pop(args) -> Population:
 
 
 def _cmd_gen(args) -> int:
-    if args.model == "univariate":
-        base = default_univariate_spec()
-        alphas = [args.alpha[0]] if args.alpha else base.alphas.tolist()
-        betas = [args.beta[0]] if args.beta else base.betas.tolist()
-        sigmas = [args.sigma[0]] if args.sigma else base.sigmas.tolist()
-    else:
-        base = default_bivariate_spec()
-        alphas = args.alpha if args.alpha else base.alphas.tolist()
-        betas = args.beta if args.beta else base.betas.tolist()
-        sigmas = args.sigma if args.sigma else base.sigmas.tolist()
-    spec = LinearModelSpec(
-        alpha=alphas,
-        beta=betas,
-        sigma_eps=sigmas,
-        gamma_mean=args.gamma_mean if args.gamma_mean else base.gamma_mean,
-        gamma_sd=args.gamma_sd if args.gamma_sd else base.gamma_sd,
+    pop = _generate(
+        args.model, args.n_pop, args.seed, args.alpha, args.beta, args.sigma,
+        args.gamma_mean, args.gamma_sd,
     )
-    if args.model == "univariate":
-        pop = generate_univariate(spec, args.n_pop, args.seed)
-    else:
-        pop = generate_bivariate(spec, args.n_pop, args.seed)
     write_csv(pop, args.out)
     print(f"wrote {pop.n_units} units (d={pop.d}) to {args.out}")
     return 0
@@ -173,16 +173,10 @@ def _config_population(node: dict) -> Population:
     for key in ("n_pop", "seed"):
         if key not in node:
             raise _UsageError(f"population.{key} is required with population.model")
-    base = default_univariate_spec() if model == "univariate" else default_bivariate_spec()
-    spec = LinearModelSpec(
-        alpha=node.get("alpha", base.alphas.tolist()),
-        beta=node.get("beta", base.betas.tolist()),
-        sigma_eps=node.get("sigma", base.sigmas.tolist()),
-        gamma_mean=node.get("gamma_mean", base.gamma_mean),
-        gamma_sd=node.get("gamma_sd", base.gamma_sd),
+    return _generate(
+        model, int(node["n_pop"]), int(node["seed"]),
+        *(node.get(key) for key in ("alpha", "beta", "sigma", "gamma_mean", "gamma_sd")),
     )
-    gen = generate_univariate if model == "univariate" else generate_bivariate
-    return gen(spec, int(node["n_pop"]), int(node["seed"]))
 
 
 def _config_cell(node: dict) -> Cell:
@@ -400,9 +394,6 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -43,8 +43,6 @@ __all__ = [
     "rhc_group_sizes",
     "draw",
     "enumerate_design",
-    "ENUMERATION_CAP",
-    "RS_RETRY_CAP",
 ]
 
 ENUMERATION_CAP = 1_000_000

@@ -9,6 +9,21 @@ failures.
 
 import numpy as np
 
+__all__ = [
+    "FinpopError",
+    "ParameterError",
+    "IngestionError",
+    "CombinationError",
+    "UnsupportedQueryError",
+    "InfeasibleError",
+    "EnumerationTooLargeError",
+    "DrawFailureError",
+    "DegenerateError",
+    "ConvergenceError",
+    "UndefinedParameterError",
+    "JackknifeFailureError",
+]
+
 
 class FinpopError(Exception):
     """Base class for all finpop errors; ``row`` is the position of the first

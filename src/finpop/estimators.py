@@ -41,7 +41,6 @@ __all__ = [
     "valid_pair",
     "design_weights",
     "peml_weights",
-    "estimate_mean_rows",
     "estimate_mean",
 ]
 

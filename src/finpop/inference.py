@@ -53,8 +53,6 @@ __all__ = [
     "ConfidenceInterval",
     "variance_est_pi",
     "variance_est_rhc",
-    "variance_estimate",
-    "supports_variance_estimate",
     "confidence_interval",
     "jackknife_bc",
 ]

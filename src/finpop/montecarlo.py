@@ -41,8 +41,6 @@ from .population import Population
 __all__ = [
     "Cell",
     "ExperimentConfig",
-    "CellResult",
-    "REEntry",
     "ExperimentReport",
     "empirical_mse",
     "relative_efficiency",
@@ -74,8 +72,7 @@ class ExperimentConfig:
     """Inputs of one simulation study.
 
     ``baseline`` indexes the cell whose MSE sits in the denominator of every
-    reported relative efficiency (subject cell); pass ``re_pairs`` for an
-    explicit list of (subject, reference) cell index pairs instead.
+    reported relative efficiency (subject cell); ``None`` reports none.
     """
 
     population: Population
@@ -86,15 +83,10 @@ class ExperimentConfig:
     ci_level: float = 0.95
     jackknife: bool = False
     baseline: int | None = 0
-    re_pairs: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
-        if self.re_pairs is not None:
-            object.__setattr__(
-                self, "re_pairs", tuple((int(a), int(b)) for a, b in self.re_pairs)
-            )
         if not self.cells:
             raise ParameterError("at least one cell is required")
         if len(set(self.cells)) != len(self.cells):
@@ -127,10 +119,6 @@ class ExperimentConfig:
                 )
         if self.baseline is not None and not 0 <= self.baseline < len(self.cells):
             raise ParameterError("baseline must index a cell")
-        if self.re_pairs is not None:
-            for a, b in self.re_pairs:
-                if not (0 <= a < len(self.cells) and 0 <= b < len(self.cells)):
-                    raise ParameterError("re_pairs must index cells")
         # an infeasible Rao-Sampford size raises InfeasibleError here, before
         # any replicate runs, instead of from the draw mid-run
         if any(c.design is DesignKind.RAO_SAMPFORD for c in self.cells):
@@ -299,12 +287,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     pop = cfg.population
     designs_needed = list(dict.fromkeys(c.design for c in cfg.cells))
     truths = [population_value(c.functional, pop) for c in cfg.cells]
-    if cfg.re_pairs is not None:
-        pairs = list(cfg.re_pairs)
-    elif cfg.baseline is not None:
+    pairs = []
+    if cfg.baseline is not None:
         pairs = [(cfg.baseline, j) for j in range(len(cfg.cells)) if j != cfg.baseline]
-    else:
-        pairs = []
     report = ExperimentReport(seed=cfg.seed, replicates=cfg.replicates)
 
     for n in cfg.sample_sizes:

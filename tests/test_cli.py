@@ -53,6 +53,24 @@ class TestGen:
         pop = load_csv(out, "x", ["y"])
         np.testing.assert_allclose(pop.y[:, 0], 7.0 + 2.0 * pop.x, rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--alpha", "1", "2"], "1-coordinate"),
+            (["--gamma-mean", "0", "--gamma-sd", "0"], "gamma_mean"),
+        ],
+        ids=["univariate_with_two_alphas", "zero_gamma_parameters"],
+    )
+    def test_rejects_what_a_run_config_rejects(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "d.csv"
+        code, _, err = run_cli(
+            capsys, "gen", "--model", "univariate", "--n-pop", "30", "--seed", "1",
+            "--out", str(out), *flags,
+        )
+        assert code == 1
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
 
 class TestExact:
     def test_unbiased_ht_prints_zero_bias(self, tiny_csv, capsys):

@@ -190,23 +190,6 @@ class TestRunExperiment:
             report.result_for(ht, 6).mse / report.result_for(peml, 6).mse
         )
 
-    def test_explicit_re_pairs(self):
-        pop = small_pop()
-        cells = (
-            mean_cell(DesignKind.SRSWOR, EstimatorKind.PEML),
-            mean_cell(DesignKind.SRSWOR, EstimatorKind.GREG),
-            mean_cell(DesignKind.SRSWOR, EstimatorKind.RATIO),
-        )
-        cfg = ExperimentConfig(
-            population=pop, cells=cells, sample_sizes=(5,), replicates=30, seed=3,
-            re_pairs=((1, 2),),
-        )
-        report = run_experiment(cfg)
-        assert len(report.relative_efficiencies) == 1
-        entry = report.relative_efficiencies[0]
-        assert entry.subject == cells[1]
-        assert entry.reference == cells[2]
-
     def test_jackknife_columns(self):
         pop = small_pop()
         cell = Cell(

@@ -8,7 +8,12 @@ verification on tiny populations, as one (K, n) batch of all K support points.
 
 Rao-Sampford draws are rejective.  They evaluate their attempts in blocks,
 many per vectorized pass, yet return the sample of the one-attempt-at-a-time
-loop and leave the generator where that loop would leave it.
+loop and leave the generator where that loop would leave it.  Their tables
+(pi, both cdfs and a guide table per cdf) are built once per (population, n)
+and kept in a one-entry memo keyed by n and a weakref to the population, so
+the memo keeps no population alive.  Each uniform is mapped to its unit by a
+guide-table lookup (Chen & Asau 1974), which finds the unit a binary search
+of the cdf would find without sorting or searching the keys.
 
 Conventions:
   * unit indices are 0-based positions into the population arrays;
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import weakref
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -84,35 +90,39 @@ class SampleDraw:
     g_totals: np.ndarray | None = None
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.intp)
+        idx = np.array(self.indices, dtype=np.intp)
         if idx.ndim not in (1, 2) or idx.size == 0:
             raise ParameterError("indices must be a nonempty (n,) or (m, n) array")
+        if idx.min() < 0:
+            raise ParameterError("unit indices must be nonnegative").at_row(
+                int(np.argmax((idx < 0).any(axis=-1)))
+            )
         distinct = _distinct(idx)
         if not distinct.all():
             raise ParameterError("sample indices must be distinct").at_row(
                 int(np.argmin(distinct))
             )
-        idx = idx.copy()
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         if self.design.is_pi_based:
             if self.pi is None or self.g_totals is not None:
                 raise ParameterError(f"{self.design} draws carry pi, not g_totals")
-            pi = np.asarray(self.pi, dtype=float).copy()
+            pi = np.array(self.pi, dtype=float)
             if pi.shape != idx.shape:
                 raise ParameterError("pi must align with indices")
-            if ((pi <= 0) | (pi > 1)).any():
+            # written so that NaN fails it too
+            if not ((pi > 0) & (pi <= 1)).all():
                 raise ParameterError("inclusion probabilities must lie in (0, 1]")
             pi.setflags(write=False)
             object.__setattr__(self, "pi", pi)
         else:
             if self.g_totals is None or self.pi is not None:
                 raise ParameterError("RHC draws carry g_totals, not pi")
-            g = np.asarray(self.g_totals, dtype=float).copy()
+            g = np.array(self.g_totals, dtype=float)
             if g.shape != idx.shape:
                 raise ParameterError("g_totals must align with indices")
-            if (g <= 0).any():
-                raise ParameterError("group totals must be positive")
+            if not ((g > 0) & np.isfinite(g)).all():
+                raise ParameterError("group totals must be finite and positive")
             g.setflags(write=False)
             object.__setattr__(self, "g_totals", g)
 
@@ -236,43 +246,114 @@ def _draw_lms(pop: Population, n: int, rng: np.random.Generator) -> SampleDraw:
     return SampleDraw(DesignKind.LMS, idx, pi=pi_all[idx])
 
 
+class _InverseCdf:
+    """Inverse-cdf lookups in the cdfs of ``weights``, k vectors of N
+    nonnegative weights with positive sums, through guide tables (Chen & Asau
+    1974) instead of a binary search.
+
+    Column j of a (m, c) array of uniforms u in [0, 1) is looked up in the cdf
+    of weight vector ``rows[j]``: the unit of u is the number of that cdf's
+    first N-1 edges that are <= the key u * top, with top the vector's sum,
+    which is what ``cdf[:-1].searchsorted(u * top, side="right")`` gives.
+    Leaving the last edge out (a ``+inf`` sentinel stands in its place) caps
+    the unit at N-1 when u * top rounds to top.
+
+    Each cdf's key range is cut into B = 4N buckets, at least 1000 so that
+    keys of small populations rarely need a step, and its int32 guide table
+    holds, for bucket b, the number of edges whose bucket is <= b-2.  A lookup
+    starts there and steps over the edges that are still <= its key.  The
+    two-bucket margin keeps the start at or below the answer whichever way
+    the key's and the edges' bucket indices round.
+    """
+
+    def __init__(self, weights, rows):
+        k, N = len(weights), len(weights[0])
+        B = self.buckets = max(4 * N, 1000)
+        # all cdfs' tables end to end, so cdf r's units start at r * N
+        edges = np.empty((k, N))
+        guide = np.zeros((k, B + 1), np.int32)  # u * B can round up to B
+        for r, w in enumerate(weights):
+            cdf = np.cumsum(w, out=edges[r])
+            bucket = (cdf[:-1] * (B / cdf[-1])).astype(np.intp)
+            # guide[b] counts the edges in buckets <= b-2
+            np.cumsum(
+                np.bincount(bucket, minlength=B)[: B - 1], dtype=np.int32, out=guide[r, 2:]
+            )
+            guide[r] += r * N
+        tops = edges[:, -1].copy()
+        edges[:, -1] = np.inf
+        self.edges, self.guide = edges.ravel(), guide.ravel()
+        rows = np.asarray(rows, dtype=np.intp)
+        self.col_top = tops[rows]
+        self.col_start = rows * (B + 1)
+        self.col_unit = (rows * N).astype(np.int32)
+        for table in (self.edges, self.guide, self.col_top, self.col_start, self.col_unit):
+            table.setflags(write=False)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """The (m, c) int32 units of the uniforms ``u``."""
+        key = (u * self.col_top).ravel()
+        pos = self.guide[((u * self.buckets).astype(np.intp) + self.col_start).ravel()]
+        # advance only the keys whose next edge is still <= the key: keys in
+        # crowded buckets take several steps, and the rest drop out at once
+        live = (self.edges[pos] <= key).nonzero()[0]
+        while live.size:
+            pos[live] += 1
+            live = live[self.edges[pos[live]] <= key[live]]
+        pos = pos.reshape(u.shape)
+        pos -= self.col_unit
+        return pos
+
+
+# The Rao-Sampford tables of the last (population, n) drawn from, as
+# (weakref to the population, n, (pi, lookup)).  The weakref keeps no
+# population alive and is compared with ``is``, so no other population is
+# served these tables; replacing the entry is one tuple store.
+_NO_RS_TABLES = (lambda: None, 0, None)
+_rs_memo: tuple = _NO_RS_TABLES
+
+
+def _rs_tables(pop: Population, n: int) -> tuple[np.ndarray, _InverseCdf]:
+    global _rs_memo
+    ref, memo_n, tables = _rs_memo
+    if ref() is pop and memo_n == n:
+        return tables
+    # free the old tables before the new ones are built, not after
+    _rs_memo = tables = _NO_RS_TABLES
+    pi = _pps_probs(pop, n)
+    pi.setflags(write=False)
+    p = pi / n
+    # column 0 of an attempt is drawn from the p-cdf, the others from the q-cdf
+    tables = pi, _InverseCdf((p, p / (1.0 - n * p)), [0] + [1] * (n - 1))
+    _rs_memo = weakref.ref(pop), n, tables
+    return tables
+
+
 def _draw_rao_sampford(pop: Population, n: int, rng: np.random.Generator) -> SampleDraw:
     # Sampford's rejective scheme: one draw proportional to p, n-1 draws with
-    # replacement proportional to p/(1 - n p); accept only all-distinct sets.
+    # replacement proportional to q = p/(1 - n p); accept only all-distinct
+    # sets.  pi, both cdfs and their guide tables are built once per
+    # (population, n) and kept in _rs_memo; every attempt's keys go through
+    # the guide tables, which give the units a binary search of the cdfs gives.
     # Attempts run in blocks of 1, 2, 4, ... up to _RS_BLOCK_MAX rows; row k
     # of a block maps the same n uniforms, in the same order, as the k-th of
     # its attempts run one at a time.  If a row before the last is accepted,
     # the generator is rewound and advanced past the attempts used, so the
     # sample and the generator's final state are those of the one-attempt
     # loop, for any bit generator.
-    pi = _pps_probs(pop, n)
-    p = pi / n
-    q = p / (1.0 - n * p)
-    cdf_p, cdf_q = p.cumsum(), q.cumsum()
-    # A key u * cdf[-1], u in [0, 1), falls in the cell of the nondecreasing
-    # cdf that searchsorted finds among its edges; leaving the last edge out
-    # caps the cell at N-1, which guards the rounding u * cdf[-1] == cdf[-1].
-    edges_p, top_p = cdf_p[:-1], cdf_p[-1]
-    edges_q, top_q = cdf_q[:-1], cdf_q[-1]
+    pi, units = _rs_tables(pop, n)
     tried, block = 0, 1
     while tried < RS_RETRY_CAP:
         block = min(block, RS_RETRY_CAP - tried)
         state = rng.bit_generator.state if block > 1 else None
-        u = rng.random(block * n)
-        # keys are looked up faster in ascending order; each key still
-        # finds its own cell, so the order does not change the indices
-        order = u.argsort()
-        idx = np.empty_like(order)
-        idx[order] = edges_q.searchsorted(u[order] * top_q, side="right")
-        # column 0, each attempt's first draw, is proportional to p
-        idx[::n] = edges_p.searchsorted(u[::n] * top_p, side="right")
-        accepted = _distinct(idx.reshape(block, n))
+        idx = units(rng.random(block * n).reshape(block, n))
+        accepted = _distinct(idx)
         j = int(accepted.argmax())
         if accepted[j]:
             if j < block - 1:
                 rng.bit_generator.state = state
                 rng.random((j + 1) * n)
-            idx = idx[j * n : (j + 1) * n]
+            idx = idx[j]
             return SampleDraw(DesignKind.RAO_SAMPFORD, idx, pi=pi[idx])
         tried += block
         block = min(2 * block, _RS_BLOCK_MAX)

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from itertools import combinations, product
 from math import comb
@@ -358,6 +359,26 @@ class TestSampleDraw:
         with pytest.raises(ParameterError):
             SampleDraw(DesignKind.SRSWOR, np.array([0, 1]), pi=np.array([0.5, 1.5]))
 
+    @pytest.mark.parametrize("pi", [[0.5, np.nan], [np.nan, np.nan]])
+    def test_rejects_nan_inclusion_probabilities(self, pi):
+        with pytest.raises(ParameterError, match="inclusion probabilities"):
+            SampleDraw(DesignKind.RAO_SAMPFORD, np.array([0, 1]), pi=np.array(pi))
+
+    @pytest.mark.parametrize("g", [[2.0, np.nan], [np.inf, 3.0], [1.0, -np.inf]])
+    def test_rejects_group_totals_that_are_not_finite(self, g):
+        with pytest.raises(ParameterError, match="group totals"):
+            SampleDraw(DesignKind.RHC, np.array([0, 1]), g_totals=np.array(g))
+
+    def test_rejects_negative_indices(self):
+        # -1 would read the last unit, and [-1, 9] names unit 9 twice
+        for idx in ([-1, 9], [3, -2, 5]):
+            with pytest.raises(ParameterError, match="nonnegative"):
+                SampleDraw(DesignKind.SRSWOR, np.array(idx), pi=np.full(len(idx), 0.3))
+        batch = np.array([[0, 1], [2, 3], [-1, 4], [-5, 6]])
+        with pytest.raises(ParameterError, match="nonnegative") as err:
+            SampleDraw(DesignKind.RHC, batch, g_totals=np.ones(batch.shape))
+        assert err.value.row == 2
+
     def test_batch_rows_are_the_stacked_draws(self, pop5):
         rng = np.random.default_rng(5)
         for design in DesignKind:
@@ -483,3 +504,106 @@ class TestRaoSampfordStream:
             draw(DesignKind.RAO_SAMPFORD, benchmark_pop, n, rng)
         twin.random(5 * n)
         assert _same_state(rng.bit_generator.state, twin.bit_generator.state)
+
+
+def _sampford_weights(pop, n):
+    """The first-draw weights p and the later-draw weights q of Sampford's scheme."""
+    p = inclusion_probabilities(DesignKind.RAO_SAMPFORD, pop, n) / n
+    return p, p / (1.0 - n * p)
+
+
+class TestInverseCdf:
+    """The guide-table lookup gives what a binary search of the cdf gives."""
+
+    @staticmethod
+    def assert_matches_searchsorted(w):
+        cdf = np.cumsum(w)
+        lookup = designs._InverseCdf([np.asarray(w)], [0])
+        B = lookup.buckets
+        boundaries = np.arange(B) / B
+        u = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)],
+            boundaries,
+            np.nextafter(boundaries[1:], 0.0),
+            np.nextafter(boundaries, 1.0),
+            np.random.default_rng(len(w)).random(4000),
+        ])
+        expected = cdf[:-1].searchsorted(u * cdf[-1], side="right")
+        got = lookup(u[:, None])
+        assert got.shape == (u.size, 1)
+        np.testing.assert_array_equal(got[:, 0], expected)
+
+    @pytest.mark.parametrize("w", [
+        [1.0, 3.0],
+        [0.3, 0.7],
+        np.ones(7),
+        np.full(10, 0.1),
+        [1.0, 1e-30, 1.0, 2.0],
+        [1e-30, 1.0, 1.0],
+        [1.0, 2.0, 1e-300],
+        # the first edge lies just above the key at u = 481/1000, yet its
+        # bucket index rounds down to 480: a one-bucket margin would start
+        # past it
+        [1.7979033368790147, 0.969970719168616, 0.969970719168616],
+    ], ids=["N2", "N2-inexact", "equal", "equal-inexact", "tiny-inner",
+            "tiny-first", "tiny-last", "edge-bucket-rounds-down"])
+    def test_small_cdfs(self, w):
+        self.assert_matches_searchsorted(np.asarray(w, dtype=float))
+
+    @pytest.mark.parametrize("name", ["criterion_3", "skewed"])
+    def test_sampford_cdfs(self, name):
+        pop, n = (_criterion_3_population(), 3) if name == "criterion_3" else (
+            _skewed_population(), 125)
+        for w in _sampford_weights(pop, n):
+            self.assert_matches_searchsorted(w)
+
+    def test_columns_use_their_rows_cdf(self):
+        pop, n = _skewed_population(), 125
+        p, q = _sampford_weights(pop, n)
+        lookup = designs._InverseCdf((p, q), [0] + [1] * (n - 1))
+        u = np.random.default_rng(2).random((64, n))
+        got = lookup(u)
+        for j, w in enumerate([p] + [q] * (n - 1)):
+            cdf = np.cumsum(w)
+            np.testing.assert_array_equal(
+                got[:, j], cdf[:-1].searchsorted(u[:, j] * cdf[-1], side="right")
+            )
+
+
+class TestRaoSampfordMemo:
+    """One memo entry, keyed by n and a weakref to the population."""
+
+    @staticmethod
+    def assert_draw_is_reference(pop, n, rng, ref_rng):
+        s = draw(DesignKind.RAO_SAMPFORD, pop, n, rng)
+        idx, pi = _rejective_rao_sampford(pop, n, ref_rng)
+        np.testing.assert_array_equal(s.indices, idx)
+        np.testing.assert_array_equal(s.pi, pi)
+        assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+    def test_alternating_populations_and_sizes(self):
+        a = _criterion_3_population()
+        b = Population(x=np.random.default_rng(7).uniform(1.0, 4.0, size=10), y=np.zeros(10))
+        assert not np.array_equal(a.x, b.x)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(40):
+            for pop, n in ((a, 3), (b, 3), (a, 4), (a, 3), (b, 4), (b, 4)):
+                self.assert_draw_is_reference(pop, n, rng, ref_rng)
+
+    def test_keeps_no_population_alive(self):
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        pop = Population(x=np.arange(1.0, 11.0), y=np.zeros(10))
+        self.assert_draw_is_reference(pop, 3, rng, ref_rng)
+        ref = designs._rs_memo[0]
+        assert ref() is pop
+        del pop
+        gc.collect()
+        assert ref() is None
+        # a population built afterwards, with the same N, gets its own tables
+        new = Population(x=np.arange(10.0, 0.0, -1.0), y=np.zeros(10))
+        for _ in range(50):
+            self.assert_draw_is_reference(new, 3, rng, ref_rng)
+        assert designs._rs_memo[0]() is new
+        np.testing.assert_array_equal(
+            designs._rs_memo[2][0], inclusion_probabilities(DesignKind.RAO_SAMPFORD, new, 3)
+        )

@@ -43,6 +43,9 @@ for design in (DesignKind.SRSWOR, DesignKind.RAO_SAMPFORD, DesignKind.RHC):
     print()
 
 s = draw(DesignKind.SRSWOR, pop, 6, rng)
+# calibration needs the population x mean strictly inside the sampled x range
+while not pop.x[s.indices].min() < pop.x_bar() < pop.x[s.indices].max():
+    s = draw(DesignKind.SRSWOR, pop, 6, rng)
 d = design_weights(s, pop)
 c = peml_weights(d, pop.x[s.indices], pop.x_bar())
 print("calibrated weights on a 6-unit draw:")

@@ -6,14 +6,12 @@ generator), report its inclusion probabilities where those are fixed, and
 enumerate its whole sample space with exact probabilities for oracle-style
 verification on tiny populations, as one (K, n) batch of all K support points.
 
-Rao-Sampford draws are rejective.  They evaluate their attempts in blocks,
-many per vectorized pass, yet return the sample of the one-attempt-at-a-time
-loop and leave the generator where that loop would leave it.  Their tables
-(pi, both cdfs and a guide table per cdf) are built once per (population, n)
-and kept in a one-entry memo keyed by n and a weakref to the population, so
-the memo keeps no population alive.  Each uniform is mapped to its unit by a
-guide-table lookup (Chen & Asau 1974), which finds the unit a binary search
-of the cdf would find without sorting or searching the keys.
+Rao-Sampford draws are exact: thinned conditional Poisson samples, drawn in
+n vector steps from elementary-symmetric tables built once per
+(population, n).  A batch draws all its rows together, each from its own
+generator, so a row is what a single draw from that generator gives.  The
+library builds its draws, batches and supports from valid parts and skips
+the checks a user-built ``SampleDraw`` goes through.
 
 Conventions:
   * unit indices are 0-based positions into the population arrays;
@@ -28,12 +26,11 @@ import enum
 import itertools
 import weakref
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 import numpy as np
 
 from .errors import (
-    DrawFailureError,
     EnumerationTooLargeError,
     InfeasibleError,
     ParameterError,
@@ -52,8 +49,6 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 1_000_000
-RS_RETRY_CAP = 1_000_000
-_RS_BLOCK_MAX = 64  # rejective Rao-Sampford attempts per vectorized pass
 
 
 class DesignKind(enum.Enum):
@@ -97,7 +92,8 @@ class SampleDraw:
             raise ParameterError("unit indices must be nonnegative").at_row(
                 int(np.argmax((idx < 0).any(axis=-1)))
             )
-        distinct = _distinct(idx)
+        ordered = np.sort(idx, axis=-1)
+        distinct = (ordered[..., 1:] != ordered[..., :-1]).all(axis=-1)
         if not distinct.all():
             raise ParameterError("sample indices must be distinct").at_row(
                 int(np.argmin(distinct))
@@ -127,12 +123,24 @@ class SampleDraw:
             object.__setattr__(self, "g_totals", g)
 
     @classmethod
+    def _trusted(cls, design, indices, pi=None, g_totals=None) -> "SampleDraw":
+        """A draw or batch the library built from valid parts, its arrays made
+        read-only but not checked or copied."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "design", design)
+        for name, value in (("indices", indices), ("pi", pi), ("g_totals", g_totals)):
+            if value is not None:
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
     def stack(cls, draws) -> "SampleDraw":
         """The batch whose row r is the r-th of these same-size samples."""
         draws = list(draws)
         pi_based = draws[0].design.is_pi_based
         meta = np.stack([s.pi if pi_based else s.g_totals for s in draws])
-        return cls(
+        return cls._trusted(
             draws[0].design,
             np.stack([s.indices for s in draws]),
             pi=meta if pi_based else None,
@@ -142,11 +150,7 @@ class SampleDraw:
     def __getitem__(self, rows) -> "SampleDraw":
         """The sample at batch row ``rows`` (an int), or the batch of the rows
         a slice or index array selects."""
-        if isinstance(rows, slice) and rows.indices(len(self.indices)) == (
-            0, len(self.indices), 1
-        ):
-            return self  # all rows: the arrays are read-only, so share them
-        return SampleDraw(
+        return SampleDraw._trusted(
             self.design,
             self.indices[rows],
             pi=None if self.pi is None else self.pi[rows],
@@ -168,12 +172,6 @@ class Support:
 
     def __len__(self) -> int:
         return len(self.probs)
-
-
-def _distinct(idx: np.ndarray) -> np.ndarray:
-    """Whether the indices along the last axis are distinct, per row."""
-    s = np.sort(idx, axis=-1)
-    return (s[..., 1:] != s[..., :-1]).all(axis=-1)
 
 
 def _check_n(pop: Population, n: int) -> None:
@@ -230,7 +228,7 @@ def rhc_group_sizes(N: int, n: int) -> np.ndarray:
 
 def _draw_srswor(pop: Population, n: int, rng: np.random.Generator) -> SampleDraw:
     idx = rng.choice(pop.n_units, size=n, replace=False)
-    return SampleDraw(DesignKind.SRSWOR, idx, pi=np.full(n, n / pop.n_units))
+    return SampleDraw._trusted(DesignKind.SRSWOR, idx, pi=np.full(n, n / pop.n_units))
 
 
 def _draw_lms(pop: Population, n: int, rng: np.random.Generator) -> SampleDraw:
@@ -243,123 +241,112 @@ def _draw_lms(pop: Population, n: int, rng: np.random.Generator) -> SampleDraw:
     rest = rng.choice(others, size=n - 1, replace=False)
     idx = np.concatenate(([first], rest))
     pi_all = inclusion_probabilities(DesignKind.LMS, pop, n)
-    return SampleDraw(DesignKind.LMS, idx, pi=pi_all[idx])
-
-
-class _InverseCdf:
-    """Inverse-cdf lookups in the cdfs of ``weights``, k vectors of N
-    nonnegative weights with positive sums, through guide tables (Chen & Asau
-    1974) instead of a binary search.
-
-    Column j of a (m, c) array of uniforms u in [0, 1) is looked up in the cdf
-    of weight vector ``rows[j]``: the unit of u is the number of that cdf's
-    first N-1 edges that are <= the key u * top, with top the vector's sum,
-    which is what ``cdf[:-1].searchsorted(u * top, side="right")`` gives.
-    Leaving the last edge out (a ``+inf`` sentinel stands in its place) caps
-    the unit at N-1 when u * top rounds to top.
-
-    Each cdf's key range is cut into B = 4N buckets, at least 1000 so that
-    keys of small populations rarely need a step, and its int32 guide table
-    holds, for bucket b, the number of edges whose bucket is <= b-2.  A lookup
-    starts there and steps over the edges that are still <= its key.  The
-    two-bucket margin keeps the start at or below the answer whichever way
-    the key's and the edges' bucket indices round.
-    """
-
-    def __init__(self, weights, rows):
-        k, N = len(weights), len(weights[0])
-        B = self.buckets = max(4 * N, 1000)
-        # all cdfs' tables end to end, so cdf r's units start at r * N
-        edges = np.empty((k, N))
-        guide = np.zeros((k, B + 1), np.int32)  # u * B can round up to B
-        for r, w in enumerate(weights):
-            cdf = np.cumsum(w, out=edges[r])
-            bucket = (cdf[:-1] * (B / cdf[-1])).astype(np.intp)
-            # guide[b] counts the edges in buckets <= b-2
-            np.cumsum(
-                np.bincount(bucket, minlength=B)[: B - 1], dtype=np.int32, out=guide[r, 2:]
-            )
-            guide[r] += r * N
-        tops = edges[:, -1].copy()
-        edges[:, -1] = np.inf
-        self.edges, self.guide = edges.ravel(), guide.ravel()
-        rows = np.asarray(rows, dtype=np.intp)
-        self.col_top = tops[rows]
-        self.col_start = rows * (B + 1)
-        self.col_unit = (rows * N).astype(np.int32)
-        for table in (self.edges, self.guide, self.col_top, self.col_start, self.col_unit):
-            table.setflags(write=False)
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        """The (m, c) int32 units of the uniforms ``u``."""
-        key = (u * self.col_top).ravel()
-        pos = self.guide[((u * self.buckets).astype(np.intp) + self.col_start).ravel()]
-        # advance only the keys whose next edge is still <= the key: keys in
-        # crowded buckets take several steps, and the rest drop out at once
-        live = (self.edges[pos] <= key).nonzero()[0]
-        while live.size:
-            pos[live] += 1
-            live = live[self.edges[pos[live]] <= key[live]]
-        pos = pos.reshape(u.shape)
-        pos -= self.col_unit
-        return pos
+    return SampleDraw._trusted(DesignKind.LMS, idx, pi=pi_all[idx])
 
 
 # The Rao-Sampford tables of the last (population, n) drawn from, as
-# (weakref to the population, n, (pi, lookup)).  The weakref keeps no
-# population alive and is compared with ``is``, so no other population is
-# served these tables; replacing the entry is one tuple store.
+# (weakref to the population, n, tables).  The weakref keeps no population
+# alive and is compared with ``is``, so no other population is served these
+# tables; replacing the entry is one tuple store.
 _NO_RS_TABLES = (lambda: None, 0, None)
 _rs_memo: tuple = _NO_RS_TABLES
+_FULL_TABLE = 2**15  # a table with at most this many entries keeps every column
+_UNSCALED = (2.0**-500, 2.0**500)  # a column whose top lies here is not scaled
 
 
-def _rs_tables(pop: Population, n: int) -> tuple[np.ndarray, _InverseCdf]:
+def _column(prev: np.ndarray, rr: np.ndarray, out: np.ndarray, scale=None):
+    """Column m of the table, from column m-1, over the first ``len(out)``
+    entries: e_m of the last a units is e_m of the last a-1 plus r of the
+    a-th unit from the end times e_{m-1} of the last a-1.  A cumsum prefix
+    does not depend on its length, so ``out`` gets the leading entries of a
+    longer one bit for bit.  The column is divided by ``scale``; None picks
+    and returns it, 1 unless the column's top nears a double's range."""
+    out[0] = 0.0
+    np.multiply(rr[: len(out) - 1], prev[: len(out) - 1], out=out[1:])
+    np.cumsum(out[1:], out=out[1:])
+    if scale is None:
+        scale = 1.0 if _UNSCALED[0] <= out[-1] <= _UNSCALED[1] else out[-1]
+    if scale != 1.0:
+        out /= scale
+    return scale
+
+
+class _SampfordTables:
+    """Sampford's design of one (population, n) as thinned conditional
+    Poisson sampling (CPS): s is drawn with P(s) proportional to the product
+    of r_i = pi_i / (1 - pi_i) over s and kept with probability
+    sum_{i in s} (1 - pi_i) / n, which leaves Sampford's (1967) P(s).
+
+    Column m holds, at a = 0..N, e_m of the r of the last a units (Chen,
+    Dempster & Liu 1994) up to a scale: ascending in a, exactly 0 for a < m.
+    A CPS draw steps through the columns from m = n down to 1: with the last
+    ``lim`` units free, it picks unit N - a for a = ``searchsorted(col_m,
+    u * col_m[lim], side="right")``, in [m, lim] for every u in [0, 1).
+    Unless the table is small, only column n and every c-th column,
+    c = isqrt(n), are kept; the steps rebuild the others a block of up to c
+    columns at a time, over the prefix the rows can still reach.
+    """
+
+    def __init__(self, pop: Population, n: int):
+        pi = _pps_probs(pop, n)
+        pi.setflags(write=False)
+        self.pi, self.one_minus, self.n = pi, 1.0 - pi, n
+        self.rr = (pi / self.one_minus)[::-1].copy()
+        self.c = c = 1 if (n + 1) * (len(pi) + 1) <= _FULL_TABLE else isqrt(n)
+        self.scales = np.ones(n + 1)
+        col = np.ones(len(pi) + 1)
+        self.kept = {0: col}
+        for m in range(1, n + 1):
+            col, prev = np.empty_like(col), col
+            self.scales[m] = _column(prev, self.rr, col)
+            if m % c == 0 or m == n:
+                self.kept[m] = col
+
+    def cps(self, u: np.ndarray) -> np.ndarray:
+        """One CPS sample per row of the (R, n) uniforms, units ascending;
+        row r depends on u[r] alone."""
+        N, n, c = len(self.pi), self.n, self.c
+        steps = np.ascontiguousarray(u.T)
+        picks = np.empty(steps.shape, np.intp)  # the a of each step, a row per step
+        lim, block_j = N, None
+        for t in range(n):
+            col = self.kept.get(n - t)
+            if col is None:
+                j, k = divmod(n - t, c)
+                if j != block_j:  # entering block j: rebuild its columns
+                    block_j, base = j, j * c
+                    block = np.empty((min(c, n - base), int(lim.max()) + 1))
+                    block[0] = self.kept[base][: block.shape[1]]
+                    for i in range(1, len(block)):
+                        _column(block[i - 1], self.rr, block[i], self.scales[base + i])
+                col = block[k]
+            a = picks[t] = col.searchsorted(steps[t] * col[lim], side="right")
+            lim = a - 1
+        return N - picks.T
+
+
+def _rao_sampford_rows(pop: Population, n: int, rngs) -> SampleDraw:
+    """One Rao-Sampford sample per generator, as an (R, n) batch whose row r
+    is what ``draw`` returns for ``rngs[r]``.  Each pass gives a row two
+    attempts of n + 1 uniforms from its own generator, n for the CPS steps
+    and one for the thinning; a row keeps its first accepted attempt."""
     global _rs_memo
     ref, memo_n, tables = _rs_memo
-    if ref() is pop and memo_n == n:
-        return tables
-    # free the old tables before the new ones are built, not after
-    _rs_memo = tables = _NO_RS_TABLES
-    pi = _pps_probs(pop, n)
-    pi.setflags(write=False)
-    p = pi / n
-    # column 0 of an attempt is drawn from the p-cdf, the others from the q-cdf
-    tables = pi, _InverseCdf((p, p / (1.0 - n * p)), [0] + [1] * (n - 1))
-    _rs_memo = weakref.ref(pop), n, tables
-    return tables
-
-
-def _draw_rao_sampford(pop: Population, n: int, rng: np.random.Generator) -> SampleDraw:
-    # Sampford's rejective scheme: one draw proportional to p, n-1 draws with
-    # replacement proportional to q = p/(1 - n p); accept only all-distinct
-    # sets.  pi, both cdfs and their guide tables are built once per
-    # (population, n) and kept in _rs_memo; every attempt's keys go through
-    # the guide tables, which give the units a binary search of the cdfs gives.
-    # Attempts run in blocks of 1, 2, 4, ... up to _RS_BLOCK_MAX rows; row k
-    # of a block maps the same n uniforms, in the same order, as the k-th of
-    # its attempts run one at a time.  If a row before the last is accepted,
-    # the generator is rewound and advanced past the attempts used, so the
-    # sample and the generator's final state are those of the one-attempt
-    # loop, for any bit generator.
-    pi, units = _rs_tables(pop, n)
-    tried, block = 0, 1
-    while tried < RS_RETRY_CAP:
-        block = min(block, RS_RETRY_CAP - tried)
-        state = rng.bit_generator.state if block > 1 else None
-        idx = units(rng.random(block * n).reshape(block, n))
-        accepted = _distinct(idx)
-        j = int(accepted.argmax())
-        if accepted[j]:
-            if j < block - 1:
-                rng.bit_generator.state = state
-                rng.random((j + 1) * n)
-            idx = idx[j]
-            return SampleDraw(DesignKind.RAO_SAMPFORD, idx, pi=pi[idx])
-        tried += block
-        block = min(2 * block, _RS_BLOCK_MAX)
-    raise DrawFailureError(
-        f"Rao-Sampford rejection did not accept a sample in {RS_RETRY_CAP} attempts"
-    )
+    if ref() is not pop or memo_n != n:
+        _rs_memo = _NO_RS_TABLES  # free the old tables before building new ones
+        tables = _SampfordTables(pop, n)
+        _rs_memo = weakref.ref(pop), n, tables
+    idx = np.empty((len(rngs), n), np.intp)
+    pending = np.arange(len(rngs))
+    while pending.size:
+        u = np.array([rngs[r].random(2 * n + 2) for r in pending]).reshape(-1, n + 1)
+        rows = tables.cps(u[:, :n]).reshape(-1, 2, n)
+        kept = (u[:, n] * n < tables.one_minus[rows].sum(axis=-1).ravel()).reshape(-1, 2)
+        first = kept.argmax(axis=1)
+        done = kept[np.arange(len(first)), first]
+        idx[pending[done]] = rows[done, first[done]]
+        pending = pending[~done]
+    return SampleDraw._trusted(DesignKind.RAO_SAMPFORD, idx, pi=tables.pi[idx])
 
 
 def _draw_rhc(pop: Population, n: int, rng: np.random.Generator) -> SampleDraw:
@@ -378,7 +365,7 @@ def _draw_rhc(pop: Population, n: int, rng: np.random.Generator) -> SampleDraw:
     pos = np.searchsorted(cum, targets, side="right")
     pos = np.minimum(pos, ends - 1)  # guard against float roundoff at group edges
     idx = perm[pos]
-    return SampleDraw(DesignKind.RHC, idx, g_totals=totals)
+    return SampleDraw._trusted(DesignKind.RHC, idx, g_totals=totals)
 
 
 def draw(
@@ -391,7 +378,7 @@ def draw(
     if design is DesignKind.LMS:
         return _draw_lms(pop, n, rng)
     if design is DesignKind.RAO_SAMPFORD:
-        return _draw_rao_sampford(pop, n, rng)
+        return _rao_sampford_rows(pop, n, [rng])[0]
     return _draw_rhc(pop, n, rng)
 
 
@@ -472,7 +459,7 @@ def enumerate_design(design: DesignKind, pop: Population, n: int) -> Support:
         r = pi_all / (1.0 - pi_all)
         w = (1.0 - pi_all)[idx].sum(axis=1) * r[idx].prod(axis=1)
         probs = w / w.sum()
-    return Support(SampleDraw(design, idx, pi=pi_all[idx]), probs)
+    return Support(SampleDraw._trusted(design, idx, pi=pi_all[idx]), probs)
 
 
 def _enumerate_rhc(pop: Population, n: int) -> Support:
@@ -509,4 +496,4 @@ def _enumerate_rhc(pop: Population, n: int) -> Support:
     probs = np.full(n_outcomes, 1.0 / n_groupings)
     for j in range(n):
         probs *= pop.x[idx[:, j]] / g_totals[:, j]
-    return Support(SampleDraw(DesignKind.RHC, idx, g_totals=g_totals), probs)
+    return Support(SampleDraw._trusted(DesignKind.RHC, idx, g_totals=g_totals), probs)

@@ -17,7 +17,6 @@ __all__ = [
     "UnsupportedQueryError",
     "InfeasibleError",
     "EnumerationTooLargeError",
-    "DrawFailureError",
     "DegenerateError",
     "ConvergenceError",
     "UndefinedParameterError",
@@ -92,10 +91,6 @@ class InfeasibleError(FinpopError):
 
 class EnumerationTooLargeError(FinpopError):
     """Exact enumeration would exceed the outcome cap."""
-
-
-class DrawFailureError(FinpopError):
-    """A rejective sampling scheme exhausted its retry budget."""
 
 
 class DegenerateError(FinpopError):

@@ -10,6 +10,14 @@ sqrt(n) (g(mean estimate) - g(true mean)):
 * ``variance_est_rhc`` (RHC design): the analogous quadratic form driven by
   the group totals.
 
+The GREG/PEML linearization takes the slope of h on x from d-weighted
+centred moments, d = 1 / (N pi) under pi-based draws and G / (N x) under
+RHC: its denominator sum d (x - xbar_d)^2 is 0 only when every sampled x is
+equal.  The uncentred sum d x^2 - (sum d x)^2 and sum x G / N - Xbar^2
+differ from it by terms carrying sum d - 1 = O_p(n^{-1/2}), so both give
+consistent estimators of the same asymptotic class, but they are not
+positive on samples whose x varies little.
+
 A level-q interval is then  point +- z * sqrt(variance / n).  Both variance
 estimators and the interval also take a batch of same-size samples, one
 estimate or interval per row; one sample is their batch of one.
@@ -120,10 +128,7 @@ def variance_est_pi(
         v = h_s - h_ht[:, None, :]
     else:
         x_ht = _row_dots(d, x_s)
-        s2x = _row_dots(d, x_s * x_s) - np.float_power(x_ht, 2)
-        _check_positive(s2x, "estimated x variance is not positive")
-        sxh = _row_dots(d * x_s, h_s) - x_ht[:, None] * h_ht
-        v = h_s - h_ht[:, None, :] - _outer(x_s - x_ht[:, None], sxh / s2x[:, None])
+        v = h_s - h_ht[:, None, :] - _outer(x_s - x_ht[:, None], _wls_slope(d, x_s, h_s))
 
     one_minus = np.sum(1.0 - pi, axis=1)
     _check_positive(one_minus, "all inclusion probabilities are 1; variance undefined")
@@ -166,10 +171,7 @@ def variance_est_rhc(
     if kind is EstimatorKind.RHC_EST:
         v = h_s
     else:
-        s2x = (x_s * g_tot).sum(axis=1) / N - x_bar**2
-        _check_positive(s2x, "estimated x variance is not positive")
-        sxh = _row_dots(g_tot, h_s) / N - x_bar * h_rhc
-        v = h_s - h_rhc[:, None, :] - _outer(x_s - x_bar, sxh / s2x[:, None])
+        v = h_s - h_rhc[:, None, :] - _outer(x_s - x_bar, _wls_slope(d, x_s, h_s))
 
     if f.kind is FunctionalKind.CORRELATION:
         h_rows = h_s if sample.indices.ndim == 2 else h_s[0]  # one sample: (n, p)
@@ -183,6 +185,17 @@ def variance_est_rhc(
     gam = gamma_coeff(N, n)
     est = n * gam * x_bar / N * np.sum(a * a * g_tot / (x_s * x_s), axis=1)
     return float(est[0]) if sample.indices.ndim == 1 else est
+
+
+def _wls_slope(d: np.ndarray, x_s: np.ndarray, h_s: np.ndarray) -> np.ndarray:
+    """The (m, p) d-weighted least-squares slopes of h on x.  x is shifted by
+    its first sampled value before it is centred, so that a sample whose x
+    values are all equal, and only such a sample, has a zero denominator."""
+    x0 = x_s - x_s[:, :1]
+    xc = x0 - (_row_dots(d, x0) / d.sum(axis=1))[:, None]
+    s2x = _row_dots(d, xc * xc)
+    _check_positive(s2x, "sampled x values are all equal; the regression slope is undefined")
+    return _row_dots(d * xc, h_s) / s2x[:, None]
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,10 +8,11 @@ design evaluate the identical draw.  Reports are therefore pure functions of
 the configuration, independent of execution order.
 
 For each sample size the R draws of a design are stacked into one batch,
-one sample per row, and each cell evaluates all R replicates in one
-row-wise pass: one ``plug_in`` (one PEML solve), one ``variance_estimate``
-and one ``confidence_interval`` over the rows.  The jackknife still runs
-once per replicate.
+one sample per row; Rao-Sampford draws all R rows in one batched pass, row r
+being what ``draw`` gives for replicate r's substream.  Each cell evaluates
+all R replicates in one row-wise pass: one ``plug_in`` (one PEML solve), one
+``variance_estimate`` and one ``confidence_interval`` over the rows.  The
+jackknife still runs once per replicate.
 
 Replicates where an estimate is undefined (infeasible calibration, undefined
 correlation, ...) are dropped from that cell's moments and counted as
@@ -26,7 +27,8 @@ from math import nan
 
 import numpy as np
 
-from .designs import DesignKind, SampleDraw, _check_n, draw, inclusion_probabilities
+from .designs import DesignKind, SampleDraw, _check_n, _rao_sampford_rows, draw
+from .designs import inclusion_probabilities
 from .errors import FinpopError, ParameterError, rows_that_evaluate
 from .estimators import EstimatorKind, valid_pair
 from .functionals import _RATIO_SAFE, Functional, FunctionalKind, plug_in, population_value
@@ -248,7 +250,7 @@ def _cell_result(
             lambda lo, hi: variance_estimate(rows[lo:hi], pop, f, kind), ok.size
         )
         if with_var.size:
-            ci = confidence_interval(est[with_var], np.maximum(var, 0.0), n, cfg.ci_level)
+            ci = confidence_interval(est[with_var], var, n, cfg.ci_level)
             lengths, covered = ci.length, int(np.count_nonzero(ci.contains(truth)))
     n_ok, ci_count = est.size, lengths.size
     result = CellResult(
@@ -293,13 +295,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(seed=cfg.seed, replicates=cfg.replicates)
 
     for n in cfg.sample_sizes:
-        batches = {
-            design: SampleDraw.stack(
-                draw(design, pop, n, _replicate_rng(cfg.seed, n, design, r))
-                for r in range(cfg.replicates)
-            )
-            for design in designs_needed
-        }
+        batches = {}
+        for design in designs_needed:
+            rngs = [_replicate_rng(cfg.seed, n, design, r) for r in range(cfg.replicates)]
+            if design is DesignKind.RAO_SAMPFORD:
+                batches[design] = _rao_sampford_rows(pop, n, rngs)
+            else:
+                batches[design] = SampleDraw.stack(draw(design, pop, n, rng) for rng in rngs)
         results = [
             _cell_result(cfg, cell, truth, batches[cell.design])
             for cell, truth in zip(cfg.cells, truths)

@@ -5,7 +5,7 @@ import finpop
 PUBLIC = [
     "AsymptoticContext", "CORRELATION", "Cell", "CombinationError",
     "ConfidenceInterval", "ConvergenceError", "DegenerateError", "DesignKind",
-    "DrawFailureError", "EnumerationTooLargeError", "EstimatorKind", "ExactSummary",
+    "EnumerationTooLargeError", "EstimatorKind", "ExactSummary",
     "ExperimentConfig", "ExperimentReport", "FinpopError", "Functional",
     "FunctionalKind", "InfeasibleError", "IngestionError", "JackknifeFailureError",
     "LinearModelSpec", "MEAN", "MomentSummary", "ParameterError", "Population",

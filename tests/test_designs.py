@@ -10,7 +10,6 @@ from scipy import stats
 from finpop import designs
 from finpop import (
     DesignKind,
-    DrawFailureError,
     EnumerationTooLargeError,
     InfeasibleError,
     ParameterError,
@@ -121,7 +120,7 @@ class TestDraw:
         assert np.all(np.abs(counts / m - target) < 4 * se)
 
     def test_rao_sampford_sample_frequencies_match_exact(self):
-        # the rejective sampler against Sampford's enumerated P(s), subset
+        # the sampler against Sampford's enumerated P(s), subset
         # by subset, at N=6, n=3 (20 subsets, smallest P(s) about 0.0016)
         pop = Population(x=np.arange(1.0, 7.0), y=np.zeros(6))
         support = enumerate_design(DesignKind.RAO_SAMPFORD, pop, 3)
@@ -390,7 +389,7 @@ class TestSampleDraw:
                 np.testing.assert_array_equal(row.indices, s.indices)
                 meta = (row.pi, s.pi) if design.is_pi_based else (row.g_totals, s.g_totals)
                 np.testing.assert_array_equal(*meta)
-            assert batch[:] is batch
+            np.testing.assert_array_equal(batch[:].indices, batch.indices)
             np.testing.assert_array_equal(batch[[4, 1]].indices[1], draws[1].indices)
 
     def test_batch_names_its_first_row_with_duplicates(self):
@@ -400,12 +399,14 @@ class TestSampleDraw:
         assert err.value.row == 2
 
     def test_distinctness_check_matches_unique(self):
-        from finpop.designs import _distinct
-
         rng = np.random.default_rng(8)
         for _ in range(2000):
             idx = rng.integers(0, 12, size=int(rng.integers(1, 8)))
-            assert bool(_distinct(idx)) == (np.unique(idx).size == idx.size)
+            if np.unique(idx).size == idx.size:
+                SampleDraw(DesignKind.SRSWOR, idx, pi=np.full(idx.size, 0.3))
+            else:
+                with pytest.raises(ParameterError, match="distinct"):
+                    SampleDraw(DesignKind.SRSWOR, idx, pi=np.full(idx.size, 0.3))
 
     def test_drop(self):
         s = SampleDraw(
@@ -416,184 +417,129 @@ class TestSampleDraw:
         np.testing.assert_allclose(t.pi, [0.2, 0.4])
 
 
-def _rejective_rao_sampford(pop, n, rng):
-    """The reference sampler: Sampford's rejective loop, one attempt at a time."""
-    pi = inclusion_probabilities(DesignKind.RAO_SAMPFORD, pop, n)
-    p = pi / n
-    q = p / (1.0 - n * p)
-    cdf_p = np.cumsum(p)
-    cdf_q = np.cumsum(q)
-
-    def cut(u, cdf):
-        return np.minimum(cdf.searchsorted(u * cdf[-1], side="right"), cdf.size - 1)
-
-    for _ in range(designs.RS_RETRY_CAP):
-        idx = np.concatenate((cut(rng.random(1), cdf_p), cut(rng.random(n - 1), cdf_q)))
-        if np.unique(idx).size == n:
-            return idx, pi[idx]
-    raise DrawFailureError("reference loop exhausted its attempts")
-
-
-def _same_state(a, b):
-    """Whether two bit-generator states are equal (MT19937's holds an array)."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
-    return bool(np.array_equal(a, b))
-
-
 def _criterion_3_population():
     x = np.random.default_rng(103).uniform(1.0, 4.0, size=10)
     return Population(x=x, y=np.zeros(10))
 
 
 def _skewed_population(N=5000):
-    """Gamma(mean 1000, sd 1500) sizes: rejection accepts a few per thousand."""
+    """Gamma(mean 1000, sd 1500) sizes, pi up to about 0.6 at n=125."""
     mean, sd = 1000.0, 1500.0
     x = stats.gamma.ppf((np.arange(N) + 0.5) / N, (mean / sd) ** 2, scale=sd**2 / mean)
     x = np.random.default_rng(11).permutation(x)
     return Population(x=x, y=x)
 
 
-class TestRaoSampfordStream:
-    """The blocked sampler returns the one-attempt loop's samples and leaves
-    the generator in the state that loop leaves it in."""
+def _rngs(seed, m):
+    return [np.random.default_rng([seed, r]) for r in range(m)]
 
-    @staticmethod
-    def assert_same_draws(pop, n, make_rng, seeds):
-        for seed in seeds:
-            rng, ref_rng = make_rng(seed), make_rng(seed)
-            s = draw(DesignKind.RAO_SAMPFORD, pop, n, rng)
-            idx, pi = _rejective_rao_sampford(pop, n, ref_rng)
-            np.testing.assert_array_equal(s.indices, idx)
-            np.testing.assert_array_equal(s.pi, pi)
-            assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
 
-    def test_criterion_3_population(self):
-        self.assert_same_draws(_criterion_3_population(), 3, np.random.default_rng, range(200))
+def _subset_counts(indices, support):
+    """How often each support point's subset was drawn, whatever the order of
+    its units: a subset's bitmask names it."""
+    masks = (1 << indices).sum(axis=1)
+    keys = (1 << support.batch.indices).sum(axis=1)
+    return np.array([(masks == k).sum() for k in keys])
 
-    def test_skewed_population(self):
-        self.assert_same_draws(_skewed_population(), 125, np.random.default_rng, range(50))
 
-    @pytest.mark.parametrize("n", [75, 100, 125])
-    def test_benchmark_population(self, benchmark_pop, n):
-        self.assert_same_draws(benchmark_pop, n, np.random.default_rng, range(60))
+class TestRaoSampfordSampler:
+    """Exact draws: conditional Poisson samples thinned to Sampford's P(s),
+    all rows of a batch together, row r depending on its generator alone."""
 
-    def test_one_generator_shared_across_draws(self, benchmark_pop):
-        for pop, n, m in ((_criterion_3_population(), 3, 1500), (benchmark_pop, 100, 200)):
-            rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-            for _ in range(m):
-                s = draw(DesignKind.RAO_SAMPFORD, pop, n, rng)
-                idx, _ = _rejective_rao_sampford(pop, n, ref_rng)
-                np.testing.assert_array_equal(s.indices, idx)
-                assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+    @pytest.mark.parametrize("N, n", [(6, 3), (8, 3), (10, 4), (12, 5)])
+    def test_subset_frequencies_match_exact(self, N, n):
+        # 40 000 rows against Sampford's enumerated P(s), subset by subset;
+        # (6, 3) and (8, 3) keep every table column (c = 1), (10, 4) and
+        # (12, 5) rebuild blocks of c = 2
+        pop = Population(x=np.random.default_rng(N * 10 + n).uniform(1.0, 4.0, N), y=np.zeros(N))
+        support = enumerate_design(DesignKind.RAO_SAMPFORD, pop, n)
+        m = 40_000
+        batch = designs._rao_sampford_rows(pop, n, [np.random.default_rng(n)] * m)
+        observed = _subset_counts(batch.indices, support)
+        assert observed.sum() == m
+        assert stats.chisquare(observed, m * support.probs).pvalue > 1e-3
 
-    def test_mt19937_state_is_restored(self, benchmark_pop):
-        def mt(seed):
-            return np.random.Generator(np.random.MT19937(seed))
+    @pytest.mark.parametrize("name, n", [("criterion_3", 3), ("skewed", 125), ("skewed", 30)])
+    def test_batch_rows_are_single_draws(self, name, n):
+        # bit for bit, and each generator left where the single draw leaves
+        # it, under the whole batch, a shuffled one and a sub-sample
+        pop = _criterion_3_population() if name == "criterion_3" else _skewed_population()
+        m = 40
+        batch = designs._rao_sampford_rows(pop, n, _rngs(5, m))
+        order = np.random.default_rng(0).permutation(m)
+        for rows in (order, order[:7], order[-1:]):
+            rngs = _rngs(5, m)
+            sub = designs._rao_sampford_rows(pop, n, [rngs[r] for r in rows])
+            np.testing.assert_array_equal(sub.indices, batch.indices[rows])
+            np.testing.assert_array_equal(sub.pi, batch.pi[rows])
+            twins = _rngs(5, m)
+            for k, r in enumerate(rows):
+                single = draw(DesignKind.RAO_SAMPFORD, pop, n, twins[r])
+                np.testing.assert_array_equal(single.indices, sub.indices[k])
+                assert rngs[r].random() == twins[r].random()
 
-        self.assert_same_draws(benchmark_pop, 125, mt, range(20))
-        self.assert_same_draws(_skewed_population(), 125, mt, range(5))
-
-    def test_retry_cap_counts_attempts(self, benchmark_pop, monkeypatch):
-        # at n=500 rejection accepts nothing in practice; 5 attempts run as
-        # blocks of 1, 2 and a last block cut from 4 to 2
-        monkeypatch.setattr(designs, "RS_RETRY_CAP", 5)
+    def test_n500_on_the_benchmark_population(self, benchmark_pop):
+        # the size at which rejection accepted nothing
         n = 500
-        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
-        with pytest.raises(DrawFailureError):
-            draw(DesignKind.RAO_SAMPFORD, benchmark_pop, n, rng)
-        twin.random(5 * n)
-        assert _same_state(rng.bit_generator.state, twin.bit_generator.state)
+        batch = designs._rao_sampford_rows(benchmark_pop, n, _rngs(7, 30))
+        pi = inclusion_probabilities(DesignKind.RAO_SAMPFORD, benchmark_pop, n)
+        assert batch.indices.shape == (30, n)
+        assert (np.diff(batch.indices, axis=1) > 0).all()
+        np.testing.assert_array_equal(batch.pi, pi[batch.indices])
+        single = draw(DesignKind.RAO_SAMPFORD, benchmark_pop, n, _rngs(7, 30)[29])
+        np.testing.assert_array_equal(single.indices, batch.indices[29])
 
+    def test_inclusion_probabilities_up_to_095(self):
+        N, n = 40, 20
+        x = np.r_[np.full(4, 0.95), np.full(N - 4, (n - 4 * 0.95) / (N - 4))]
+        pop = Population(x=x, y=x)
+        pi = inclusion_probabilities(DesignKind.RAO_SAMPFORD, pop, n)
+        assert pi.max() == pytest.approx(0.95)
+        m = 20_000
+        batch = designs._rao_sampford_rows(pop, n, [np.random.default_rng(9)] * m)
+        idx = batch.indices
+        assert (idx >= 0).all() and (idx < N).all()
+        assert (np.diff(idx, axis=1) > 0).all()
+        z = (np.bincount(idx.ravel(), minlength=N) / m - pi) / np.sqrt(pi * (1 - pi) / m)
+        assert np.abs(z).max() < 4.5
 
-def _sampford_weights(pop, n):
-    """The first-draw weights p and the later-draw weights q of Sampford's scheme."""
-    p = inclusion_probabilities(DesignKind.RAO_SAMPFORD, pop, n) / n
-    return p, p / (1.0 - n * p)
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    def test_extreme_uniforms_give_distinct_units(self, u):
+        # every step's key at the bottom or the top of its column; the
+        # thinning uniform is 0, so the first attempt is kept
+        class Fixed:
+            def random(self, size):
+                out = np.full(size, u)
+                out[size // 2 - 1] = 0.0
+                return out
 
-
-class TestInverseCdf:
-    """The guide-table lookup gives what a binary search of the cdf gives."""
-
-    @staticmethod
-    def assert_matches_searchsorted(w):
-        cdf = np.cumsum(w)
-        lookup = designs._InverseCdf([np.asarray(w)], [0])
-        B = lookup.buckets
-        boundaries = np.arange(B) / B
-        u = np.concatenate([
-            [0.0, np.nextafter(1.0, 0.0)],
-            boundaries,
-            np.nextafter(boundaries[1:], 0.0),
-            np.nextafter(boundaries, 1.0),
-            np.random.default_rng(len(w)).random(4000),
-        ])
-        expected = cdf[:-1].searchsorted(u * cdf[-1], side="right")
-        got = lookup(u[:, None])
-        assert got.shape == (u.size, 1)
-        np.testing.assert_array_equal(got[:, 0], expected)
-
-    @pytest.mark.parametrize("w", [
-        [1.0, 3.0],
-        [0.3, 0.7],
-        np.ones(7),
-        np.full(10, 0.1),
-        [1.0, 1e-30, 1.0, 2.0],
-        [1e-30, 1.0, 1.0],
-        [1.0, 2.0, 1e-300],
-        # the first edge lies just above the key at u = 481/1000, yet its
-        # bucket index rounds down to 480: a one-bucket margin would start
-        # past it
-        [1.7979033368790147, 0.969970719168616, 0.969970719168616],
-    ], ids=["N2", "N2-inexact", "equal", "equal-inexact", "tiny-inner",
-            "tiny-first", "tiny-last", "edge-bucket-rounds-down"])
-    def test_small_cdfs(self, w):
-        self.assert_matches_searchsorted(np.asarray(w, dtype=float))
-
-    @pytest.mark.parametrize("name", ["criterion_3", "skewed"])
-    def test_sampford_cdfs(self, name):
-        pop, n = (_criterion_3_population(), 3) if name == "criterion_3" else (
-            _skewed_population(), 125)
-        for w in _sampford_weights(pop, n):
-            self.assert_matches_searchsorted(w)
-
-    def test_columns_use_their_rows_cdf(self):
-        pop, n = _skewed_population(), 125
-        p, q = _sampford_weights(pop, n)
-        lookup = designs._InverseCdf((p, q), [0] + [1] * (n - 1))
-        u = np.random.default_rng(2).random((64, n))
-        got = lookup(u)
-        for j, w in enumerate([p] + [q] * (n - 1)):
-            cdf = np.cumsum(w)
-            np.testing.assert_array_equal(
-                got[:, j], cdf[:-1].searchsorted(u[:, j] * cdf[-1], side="right")
-            )
+        pop = Population(x=np.random.default_rng(2).uniform(1.0, 4.0, 200), y=np.zeros(200))
+        n = 30
+        row = designs._rao_sampford_rows(pop, n, [Fixed()]).indices[0]
+        expected = np.arange(200 - n, 200) if u == 0.0 else np.arange(n)
+        np.testing.assert_array_equal(row, expected)
 
 
 class TestRaoSampfordMemo:
     """One memo entry, keyed by n and a weakref to the population."""
 
-    @staticmethod
-    def assert_draw_is_reference(pop, n, rng, ref_rng):
-        s = draw(DesignKind.RAO_SAMPFORD, pop, n, rng)
-        idx, pi = _rejective_rao_sampford(pop, n, ref_rng)
-        np.testing.assert_array_equal(s.indices, idx)
-        np.testing.assert_array_equal(s.pi, pi)
-        assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
-
     def test_alternating_populations_and_sizes(self):
         a = _criterion_3_population()
         b = Population(x=np.random.default_rng(7).uniform(1.0, 4.0, size=10), y=np.zeros(10))
         assert not np.array_equal(a.x, b.x)
-        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        for _ in range(40):
-            for pop, n in ((a, 3), (b, 3), (a, 4), (a, 3), (b, 4), (b, 4)):
-                self.assert_draw_is_reference(pop, n, rng, ref_rng)
+        cases = ((a, 3), (b, 3), (a, 4), (a, 3), (b, 4), (b, 4))
+        alternating = [
+            [draw(DesignKind.RAO_SAMPFORD, pop, n, rng).indices for rng in _rngs(k, 10)]
+            for k, (pop, n) in enumerate(cases)
+        ]
+        for k, (pop, n) in enumerate(cases):
+            fresh = Population(x=pop.x.copy(), y=pop.y.copy())
+            rows = designs._rao_sampford_rows(fresh, n, _rngs(k, 10)).indices
+            np.testing.assert_array_equal(np.array(alternating[k]), rows)
 
     def test_keeps_no_population_alive(self):
-        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         pop = Population(x=np.arange(1.0, 11.0), y=np.zeros(10))
-        self.assert_draw_is_reference(pop, 3, rng, ref_rng)
+        draw(DesignKind.RAO_SAMPFORD, pop, 3, np.random.default_rng(4))
         ref = designs._rs_memo[0]
         assert ref() is pop
         del pop
@@ -601,9 +547,40 @@ class TestRaoSampfordMemo:
         assert ref() is None
         # a population built afterwards, with the same N, gets its own tables
         new = Population(x=np.arange(10.0, 0.0, -1.0), y=np.zeros(10))
-        for _ in range(50):
-            self.assert_draw_is_reference(new, 3, rng, ref_rng)
+        batch = designs._rao_sampford_rows(new, 3, _rngs(4, 50))
         assert designs._rs_memo[0]() is new
         np.testing.assert_array_equal(
-            designs._rs_memo[2][0], inclusion_probabilities(DesignKind.RAO_SAMPFORD, new, 3)
+            batch.pi, inclusion_probabilities(DesignKind.RAO_SAMPFORD, new, 3)[batch.indices]
         )
+
+
+def _library_built(pop, n):
+    """Every kind of draw, batch and support the library builds itself."""
+    out = []
+    for design in DesignKind:
+        rngs = _rngs(3, 6)
+        draws = [draw(design, pop, n, rng) for rng in rngs]
+        batch = SampleDraw.stack(draws)
+        out += [*draws, batch, batch[2], batch[1:4], batch[[4, 0]]]
+        out.append(enumerate_design(design, pop, n).batch)
+    out.append(designs._rao_sampford_rows(pop, n, _rngs(4, 6)))
+    return out
+
+
+class TestTrustedDraws:
+    """Draws, batches and supports built by the library skip the validation
+    of a user-built SampleDraw; they must pass it all the same."""
+
+    @pytest.mark.parametrize("N, n", [(7, 3), (9, 2), (8, 4)])
+    def test_library_built_draws_pass_full_validation(self, N, n):
+        pop = random_population(np.random.default_rng(N), N=N)
+        for s in _library_built(pop, n):
+            checked = SampleDraw(s.design, s.indices, pi=s.pi, g_totals=s.g_totals)
+            assert s.indices.dtype == np.intp
+            for got, want in ((s.indices, checked.indices), (s.pi, checked.pi),
+                              (s.g_totals, checked.g_totals)):
+                if want is None:
+                    assert got is None
+                else:
+                    assert not got.flags.writeable
+                    np.testing.assert_array_equal(got, want)

@@ -18,6 +18,7 @@ from finpop import (
     design_weights,
     draw,
     empirical_mse,
+    enumerate_design,
     estimate_mean,
     jackknife_bc,
     plug_in,
@@ -119,6 +120,56 @@ class TestSampleBatches:
         with pytest.raises(DegenerateError) as err:
             plug_in(MEAN, EstimatorKind.GREG, batch, pop)
         assert err.value.row == 1
+
+
+class TestRegressionSlope:
+    """GREG/PEML variance estimates take the slope of h on x from d-weighted
+    centred moments: defined unless every sampled x is equal."""
+
+    def test_slope_is_weighted_least_squares(self):
+        from finpop.inference import _wls_slope
+
+        rng = np.random.default_rng(5)
+        d = rng.uniform(0.5, 2.0, size=(6, 9))
+        x = rng.gamma(25.0, 4.0, size=(6, 9))
+        h = rng.normal(size=(6, 9, 2)) + x[:, :, None]
+        got = _wls_slope(d, x, h)
+        for r in range(6):
+            sw = np.sqrt(d[r])[:, None]
+            design = np.column_stack([np.ones(9), x[r]]) * sw
+            coef = np.linalg.lstsq(design, h[r] * sw, rcond=None)[0]
+            np.testing.assert_allclose(got[r], coef[1], rtol=1e-9)
+
+    @pytest.mark.parametrize("design", [DesignKind.RAO_SAMPFORD, DesignKind.RHC])
+    def test_only_equal_x_is_degenerate(self, design):
+        # 1.1 has no exact binary form, so a weighted mean of it need not
+        # equal it; row 1 is the first whose x values are all equal
+        pop = Population(x=np.array([1.1, 1.1, 1.1, 1.1 + 1e-12, 3.0]), y=np.arange(5.0))
+        idx = np.array([[0, 3, 4], [0, 1, 2], [1, 2, 3], [2, 1, 0]])
+        if design is DesignKind.RHC:
+            batch = SampleDraw(design, idx, g_totals=np.full(idx.shape, 2.5))
+        else:
+            batch = SampleDraw(design, idx, pi=np.full(idx.shape, 0.6))
+        for kind in (EstimatorKind.GREG, EstimatorKind.PEML):
+            with pytest.raises(DegenerateError) as err:
+                variance_estimate(batch, pop, MEAN, kind)
+            assert err.value.row == 1
+            assert variance_estimate(batch[2], pop, MEAN, kind) >= 0.0
+
+    @pytest.mark.parametrize("design, N, n", [
+        (DesignKind.RAO_SAMPFORD, 12, 4), (DesignKind.RHC, 8, 3),
+    ])
+    def test_defined_on_every_support_point(self, design, N, n):
+        # x with CV 0.2: the uncentred x-variance forms are not positive on
+        # about a third of these supports' probability mass
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x = rng.gamma(25.0, 4.0, N)
+            pop = Population(x=x, y=2.0 * x + rng.normal(size=N) * 5.0)
+            batch = enumerate_design(design, pop, n).batch
+            for kind in (EstimatorKind.GREG, EstimatorKind.PEML):
+                var = variance_estimate(batch, pop, MEAN, kind)
+                assert np.isfinite(var).all() and (var >= 0).all()
 
 
 class TestVarianceEstPi:

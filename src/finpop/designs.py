@@ -138,6 +138,8 @@ class SampleDraw:
     def stack(cls, draws) -> "SampleDraw":
         """The batch whose row r is the r-th of these same-size samples."""
         draws = list(draws)
+        if not draws or {(s.design, s.indices.ndim) for s in draws} != {(draws[0].design, 1)}:
+            raise ParameterError("stack needs one or more single samples of one design")
         pi_based = draws[0].design.is_pi_based
         meta = np.stack([s.pi if pi_based else s.g_totals for s in draws])
         return cls._trusted(
@@ -149,10 +151,14 @@ class SampleDraw:
 
     def __getitem__(self, rows) -> "SampleDraw":
         """The sample at batch row ``rows`` (an int), or the batch of the rows
-        a slice or index array selects."""
+        a slice or index array selects, which must keep at least one row."""
+        # one index on the row axis: a tuple may pick columns, None adds an axis
+        if (self.indices.ndim != 2 or isinstance(rows, tuple)
+                or (idx := self.indices[rows]).ndim > 2 or idx.size == 0):
+            raise ParameterError("select one or more rows of a batch")
         return SampleDraw._trusted(
             self.design,
-            self.indices[rows],
+            idx,
             pi=None if self.pi is None else self.pi[rows],
             g_totals=None if self.g_totals is None else self.g_totals[rows],
         )
@@ -250,8 +256,15 @@ def _draw_lms(pop: Population, n: int, rng: np.random.Generator) -> SampleDraw:
 # tables; replacing the entry is one tuple store.
 _NO_RS_TABLES = (lambda: None, 0, None)
 _rs_memo: tuple = _NO_RS_TABLES
-_FULL_TABLE = 2**15  # a table with at most this many entries keeps every column
+# A batch keeps every isqrt(n)-th column and rebuilds the others once a pass
+# for all its rows; a single draw shares that rebuild with no other row, so
+# it keeps every column of a table of at most this many entries (16 MB).
+_FULL_TABLE = 2**21
 _UNSCALED = (2.0**-500, 2.0**500)  # a column whose top lies here is not scaled
+# Attempts per pending row and pass: a pass costs n steps however few rows
+# are left, and at the thinning acceptance of skewed sizes, 0.92, 24 rows
+# take 2.0 passes with one attempt and 1.15 with two (same stream chunks).
+_ATTEMPTS = 2
 
 
 def _column(prev: np.ndarray, rr: np.ndarray, out: np.ndarray, scale=None):
@@ -282,17 +295,17 @@ class _SampfordTables:
     A CPS draw steps through the columns from m = n down to 1: with the last
     ``lim`` units free, it picks unit N - a for a = ``searchsorted(col_m,
     u * col_m[lim], side="right")``, in [m, lim] for every u in [0, 1).
-    Unless the table is small, only column n and every c-th column,
-    c = isqrt(n), are kept; the steps rebuild the others a block of up to c
-    columns at a time, over the prefix the rows can still reach.
+    Unless ``c`` is 1, only column n and every c-th column are kept; the steps
+    rebuild the others a block of up to c columns at a time, over the prefix
+    the rows can still reach.
     """
 
-    def __init__(self, pop: Population, n: int):
+    def __init__(self, pop: Population, n: int, c: int):
         pi = _pps_probs(pop, n)
         pi.setflags(write=False)
         self.pi, self.one_minus, self.n = pi, 1.0 - pi, n
         self.rr = (pi / self.one_minus)[::-1].copy()
-        self.c = c = 1 if (n + 1) * (len(pi) + 1) <= _FULL_TABLE else isqrt(n)
+        self.c = c
         self.scales = np.ones(n + 1)
         col = np.ones(len(pi) + 1)
         self.kept = {0: col}
@@ -327,24 +340,27 @@ class _SampfordTables:
 
 def _rao_sampford_rows(pop: Population, n: int, rngs) -> SampleDraw:
     """One Rao-Sampford sample per generator, as an (R, n) batch whose row r
-    is what ``draw`` returns for ``rngs[r]``.  Each pass gives a row two
-    attempts of n + 1 uniforms from its own generator, n for the CPS steps
-    and one for the thinning; a row keeps its first accepted attempt."""
+    is what ``draw`` returns for ``rngs[r]``.  Each pass gives every pending
+    row ``_ATTEMPTS`` attempts of n + 1 uniforms from its own generator, n
+    for the CPS steps and one for the thinning; a row keeps its first
+    accepted attempt."""
     global _rs_memo
     ref, memo_n, tables = _rs_memo
-    if ref() is not pop or memo_n != n:
+    c = 1 if len(rngs) == 1 and (n + 1) * (pop.n_units + 1) <= _FULL_TABLE else isqrt(n)
+    if ref() is not pop or memo_n != n or tables.c > c:
         _rs_memo = _NO_RS_TABLES  # free the old tables before building new ones
-        tables = _SampfordTables(pop, n)
+        tables = _SampfordTables(pop, n, c)
         _rs_memo = weakref.ref(pop), n, tables
     idx = np.empty((len(rngs), n), np.intp)
     pending = np.arange(len(rngs))
     while pending.size:
-        u = np.array([rngs[r].random(2 * n + 2) for r in pending]).reshape(-1, n + 1)
-        rows = tables.cps(u[:, :n]).reshape(-1, 2, n)
-        kept = (u[:, n] * n < tables.one_minus[rows].sum(axis=-1).ravel()).reshape(-1, 2)
-        first = kept.argmax(axis=1)
-        done = kept[np.arange(len(first)), first]
-        idx[pending[done]] = rows[done, first[done]]
+        u = np.array([rngs[r].random(_ATTEMPTS * (n + 1)) for r in pending])
+        u = u.reshape(-1, n + 1)
+        rows = tables.cps(u[:, :n])
+        kept = (u[:, n] * n < tables.one_minus[rows].sum(axis=1)).reshape(-1, _ATTEMPTS)
+        done = kept.any(axis=1)
+        first = kept[done].argmax(axis=1)
+        idx[pending[done]] = rows.reshape(-1, _ATTEMPTS, n)[done, first]
         pending = pending[~done]
     return SampleDraw._trusted(DesignKind.RAO_SAMPFORD, idx, pi=tables.pi[idx])
 

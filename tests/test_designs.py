@@ -1,7 +1,7 @@
 import gc
 from collections import Counter
 from itertools import combinations, product
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -392,6 +392,21 @@ class TestSampleDraw:
             np.testing.assert_array_equal(batch[:].indices, batch.indices)
             np.testing.assert_array_equal(batch[[4, 1]].indices[1], draws[1].indices)
 
+    def test_selections_and_stacks_that_are_no_batch_are_rejected(self, pop5):
+        rng = np.random.default_rng(5)
+        draws = [draw(DesignKind.RHC, pop5, 2, rng) for _ in range(3)]
+        batch = SampleDraw.stack(draws)
+        for rows in (slice(2, 2), np.array([], int), np.zeros(3, bool), (slice(None), 0),
+                     None, [[0, 1]]):
+            with pytest.raises(ParameterError, match="one or more rows of a batch"):
+                batch[rows]
+        with pytest.raises(ParameterError, match="one or more rows of a batch"):
+            draws[0][0]
+        srswor = draw(DesignKind.SRSWOR, pop5, 2, rng)
+        for bad in ([], [draws[0], srswor], [batch, batch]):
+            with pytest.raises(ParameterError, match="single samples of one design"):
+                SampleDraw.stack(bad)
+
     def test_batch_names_its_first_row_with_duplicates(self):
         idx = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 6], [1, 1, 2]])
         with pytest.raises(ParameterError, match="distinct") as err:
@@ -442,6 +457,10 @@ def _subset_counts(indices, support):
     return np.array([(masks == k).sum() for k in keys])
 
 
+def _memo_c():
+    return designs._rs_memo[2].c
+
+
 class TestRaoSampfordSampler:
     """Exact draws: conditional Poisson samples thinned to Sampford's P(s),
     all rows of a batch together, row r depending on its generator alone."""
@@ -449,12 +468,13 @@ class TestRaoSampfordSampler:
     @pytest.mark.parametrize("N, n", [(6, 3), (8, 3), (10, 4), (12, 5)])
     def test_subset_frequencies_match_exact(self, N, n):
         # 40 000 rows against Sampford's enumerated P(s), subset by subset;
-        # (6, 3) and (8, 3) keep every table column (c = 1), (10, 4) and
-        # (12, 5) rebuild blocks of c = 2
+        # a batch keeps every isqrt(n)-th column: all of them at n = 3, and
+        # it rebuilds blocks of c = 2 at n = 4 and 5
         pop = Population(x=np.random.default_rng(N * 10 + n).uniform(1.0, 4.0, N), y=np.zeros(N))
         support = enumerate_design(DesignKind.RAO_SAMPFORD, pop, n)
         m = 40_000
         batch = designs._rao_sampford_rows(pop, n, [np.random.default_rng(n)] * m)
+        assert _memo_c() == isqrt(n)
         observed = _subset_counts(batch.indices, support)
         assert observed.sum() == m
         assert stats.chisquare(observed, m * support.probs).pvalue > 1e-3
@@ -462,10 +482,13 @@ class TestRaoSampfordSampler:
     @pytest.mark.parametrize("name, n", [("criterion_3", 3), ("skewed", 125), ("skewed", 30)])
     def test_batch_rows_are_single_draws(self, name, n):
         # bit for bit, and each generator left where the single draw leaves
-        # it, under the whole batch, a shuffled one and a sub-sample
+        # it, under the whole batch, a shuffled one and a sub-sample; the
+        # batch rebuilds all but every isqrt(n)-th column, which single draws
+        # keep, and cumsum prefixes do not depend on their length
         pop = _criterion_3_population() if name == "criterion_3" else _skewed_population()
         m = 40
         batch = designs._rao_sampford_rows(pop, n, _rngs(5, m))
+        assert _memo_c() == isqrt(n)
         order = np.random.default_rng(0).permutation(m)
         for rows in (order, order[:7], order[-1:]):
             rngs = _rngs(5, m)
@@ -477,6 +500,22 @@ class TestRaoSampfordSampler:
                 single = draw(DesignKind.RAO_SAMPFORD, pop, n, twins[r])
                 np.testing.assert_array_equal(single.indices, sub.indices[k])
                 assert rngs[r].random() == twins[r].random()
+
+    @pytest.mark.parametrize("attempts", [1, 3])
+    def test_attempts_per_pass_change_no_sample(self, attempts, monkeypatch):
+        # attempt k of a row is the k-th chunk of n + 1 uniforms of its
+        # generator, however many attempts a pass gives it
+        pop = _skewed_population()
+        paired = designs._rao_sampford_rows(pop, 125, _rngs(8, 60))
+        monkeypatch.setattr(designs, "_ATTEMPTS", attempts)
+        rngs = _rngs(8, 60)
+        other = designs._rao_sampford_rows(pop, 125, rngs)
+        np.testing.assert_array_equal(other.indices, paired.indices)
+        if attempts == 1:  # some rows were kept only at a later attempt
+            once = _rngs(8, 60)
+            for r in once:
+                r.random(126)
+            assert any(a.random() != b.random() for a, b in zip(rngs, once))
 
     def test_n500_on_the_benchmark_population(self, benchmark_pop):
         # the size at which rejection accepted nothing
@@ -497,25 +536,29 @@ class TestRaoSampfordSampler:
         assert pi.max() == pytest.approx(0.95)
         m = 20_000
         batch = designs._rao_sampford_rows(pop, n, [np.random.default_rng(9)] * m)
+        assert _memo_c() == 4
         idx = batch.indices
         assert (idx >= 0).all() and (idx < N).all()
         assert (np.diff(idx, axis=1) > 0).all()
         z = (np.bincount(idx.ravel(), minlength=N) / m - pi) / np.sqrt(pi * (1 - pi) / m)
         assert np.abs(z).max() < 4.5
 
+    @pytest.mark.parametrize("full_table", [designs._FULL_TABLE, 0])
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
-    def test_extreme_uniforms_give_distinct_units(self, u):
+    def test_extreme_uniforms_give_distinct_units(self, u, full_table, monkeypatch):
         # every step's key at the bottom or the top of its column; the
         # thinning uniform is 0, so the first attempt is kept
         class Fixed:
             def random(self, size):
                 out = np.full(size, u)
-                out[size // 2 - 1] = 0.0
+                out[size // designs._ATTEMPTS - 1] = 0.0
                 return out
 
+        monkeypatch.setattr(designs, "_FULL_TABLE", full_table)
         pop = Population(x=np.random.default_rng(2).uniform(1.0, 4.0, 200), y=np.zeros(200))
         n = 30
         row = designs._rao_sampford_rows(pop, n, [Fixed()]).indices[0]
+        assert _memo_c() == (1 if full_table else 5)
         expected = np.arange(200 - n, 200) if u == 0.0 else np.arange(n)
         np.testing.assert_array_equal(row, expected)
 
@@ -536,6 +579,18 @@ class TestRaoSampfordMemo:
             fresh = Population(x=pop.x.copy(), y=pop.y.copy())
             rows = designs._rao_sampford_rows(fresh, n, _rngs(k, 10)).indices
             np.testing.assert_array_equal(np.array(alternating[k]), rows)
+
+    def test_single_draws_keep_every_column_of_larger_tables(self):
+        # a batch keeps every isqrt(n)-th column of a 630k-entry table, a
+        # single draw all of them, and a later batch uses those
+        pop = _skewed_population()
+        designs._rao_sampford_rows(pop, 125, _rngs(1, 4))
+        assert _memo_c() == isqrt(125)
+        draw(DesignKind.RAO_SAMPFORD, pop, 125, np.random.default_rng(1))
+        assert _memo_c() == 1
+        tables = designs._rs_memo[2]
+        designs._rao_sampford_rows(pop, 125, _rngs(1, 4))
+        assert designs._rs_memo[2] is tables
 
     def test_keeps_no_population_alive(self):
         pop = Population(x=np.arange(1.0, 11.0), y=np.zeros(10))

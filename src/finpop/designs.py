@@ -6,12 +6,14 @@ generator), report its inclusion probabilities where those are fixed, and
 enumerate its whole sample space with exact probabilities for oracle-style
 verification on tiny populations, as one (K, n) batch of all K support points.
 
+Every design draws a batch of samples, one per generator, in one call that
+computes what depends only on (population, n) once; a row is what a single
+draw from its generator gives, and ``draw`` is the one-row batch.
 Rao-Sampford draws are exact: thinned conditional Poisson samples, drawn in
 n vector steps from elementary-symmetric tables built once per
-(population, n).  A batch draws all its rows together, each from its own
-generator, so a row is what a single draw from that generator gives.  The
-library builds its draws, batches and supports from valid parts and skips
-the checks a user-built ``SampleDraw`` goes through.
+(population, n), all rows of a batch together.  The library builds its
+draws, batches and supports from valid parts and skips the checks a
+user-built ``SampleDraw`` goes through.
 
 Conventions:
   * unit indices are 0-based positions into the population arrays;
@@ -232,24 +234,6 @@ def rhc_group_sizes(N: int, n: int) -> np.ndarray:
     return np.array([base] * k + [base + 1] * (n - k), dtype=int)
 
 
-def _draw_srswor(pop: Population, n: int, rng: np.random.Generator) -> SampleDraw:
-    idx = rng.choice(pop.n_units, size=n, replace=False)
-    return SampleDraw._trusted(DesignKind.SRSWOR, idx, pi=np.full(n, n / pop.n_units))
-
-
-def _draw_lms(pop: Population, n: int, rng: np.random.Generator) -> SampleDraw:
-    # First unit proportional to x, then SRSWOR among the rest: realizes
-    # P(s) = (xbar_s / Xbar) / C(N, n).
-    N = pop.n_units
-    p = pop.x / pop.x_total()
-    first = int(rng.choice(N, p=p))
-    others = np.delete(np.arange(N), first)
-    rest = rng.choice(others, size=n - 1, replace=False)
-    idx = np.concatenate(([first], rest))
-    pi_all = inclusion_probabilities(DesignKind.LMS, pop, n)
-    return SampleDraw._trusted(DesignKind.LMS, idx, pi=pi_all[idx])
-
-
 # The Rao-Sampford tables of the last (population, n) drawn from, as
 # (weakref to the population, n, tables).  The weakref keeps no population
 # alive and is compared with ``is``, so no other population is served these
@@ -365,37 +349,54 @@ def _rao_sampford_rows(pop: Population, n: int, rngs) -> SampleDraw:
     return SampleDraw._trusted(DesignKind.RAO_SAMPFORD, idx, pi=tables.pi[idx])
 
 
-def _draw_rhc(pop: Population, n: int, rng: np.random.Generator) -> SampleDraw:
-    # Random grouping by cutting a shuffled permutation into the prescribed
-    # sizes (group labels are exchangeable), then one PPS pick per group.
+def _draw_rows(design: DesignKind, pop: Population, n: int, rngs) -> SampleDraw:
+    """One sample of size ``n`` per generator, as an (R, n) batch whose row r
+    is what ``draw`` returns for ``rngs[r]``, with what depends only on
+    (population, n) computed once for all rows."""
+    _check_n(pop, n)
+    if design is DesignKind.RAO_SAMPFORD:
+        return _rao_sampford_rows(pop, n, rngs)
     N = pop.n_units
-    sizes = rhc_group_sizes(N, n)
-    perm = rng.permutation(N)
-    x_perm = pop.x[perm]
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    cum = np.cumsum(x_perm)
-    lower = np.where(starts > 0, cum[starts - 1], 0.0)
-    totals = cum[ends - 1] - lower
-    targets = lower + rng.random(n) * totals
-    pos = np.searchsorted(cum, targets, side="right")
-    pos = np.minimum(pos, ends - 1)  # guard against float roundoff at group edges
-    idx = perm[pos]
-    return SampleDraw._trusted(DesignKind.RHC, idx, g_totals=totals)
+    idx = np.empty((len(rngs), n), np.intp)
+    if design is DesignKind.SRSWOR:
+        for r, rng in enumerate(rngs):
+            idx[r] = rng.choice(N, size=n, replace=False)
+        return SampleDraw._trusted(design, idx, pi=np.full(idx.shape, n / N))
+    if design is DesignKind.LMS:
+        # First unit proportional to x, then SRSWOR among the rest: realizes
+        # P(s) = (xbar_s / Xbar) / C(N, n).  The first pick inverts the cdf
+        # as ``rng.choice(N, p=x / sum x)`` builds it; the rest are
+        # ``rng.choice`` over the other N - 1 units, numbered past the first.
+        cdf = np.cumsum(pop.x / pop.x_total())
+        cdf /= cdf[-1]
+        for r, rng in enumerate(rngs):
+            idx[r, 0] = first = cdf.searchsorted(rng.random(), side="right")
+            rest = rng.choice(N - 1, size=n - 1, replace=False)
+            idx[r, 1:] = rest + (rest >= first)
+        pi = inclusion_probabilities(design, pop, n)
+        return SampleDraw._trusted(design, idx, pi=pi[idx])
+    # RHC: random grouping by cutting a shuffled permutation into the
+    # prescribed sizes (group labels are exchangeable), then one PPS pick per
+    # group.  Rows share no permutation, so each is drawn on its own.
+    ends = np.cumsum(rhc_group_sizes(N, n))
+    starts = np.r_[0, ends[:-1]]
+    totals = np.empty(idx.shape)
+    for r, rng in enumerate(rngs):
+        perm = rng.permutation(N)
+        cum = np.cumsum(pop.x[perm])
+        lower = np.where(starts > 0, cum[starts - 1], 0.0)
+        totals[r] = cum[ends - 1] - lower
+        targets = lower + rng.random(n) * totals[r]
+        pos = np.searchsorted(cum, targets, side="right")
+        idx[r] = perm[np.minimum(pos, ends - 1)]  # guard against roundoff at group edges
+    return SampleDraw._trusted(design, idx, g_totals=totals)
 
 
 def draw(
     design: DesignKind, pop: Population, n: int, rng: np.random.Generator
 ) -> SampleDraw:
-    """Draw one sample of size ``n`` under ``design``."""
-    _check_n(pop, n)
-    if design is DesignKind.SRSWOR:
-        return _draw_srswor(pop, n, rng)
-    if design is DesignKind.LMS:
-        return _draw_lms(pop, n, rng)
-    if design is DesignKind.RAO_SAMPFORD:
-        return _rao_sampford_rows(pop, n, [rng])[0]
-    return _draw_rhc(pop, n, rng)
+    """Draw one sample of size ``n`` under ``design``: the one-row batch."""
+    return _draw_rows(design, pop, n, [rng])[0]
 
 
 def _groupings(

@@ -609,6 +609,93 @@ class TestRaoSampfordMemo:
         )
 
 
+def _parent_draw(design, pop, n, rng):
+    """The per-sample SRSWOR, LMS and RHC draws the batched ones replaced,
+    kept as the reference their rows must equal bit for bit."""
+    N = pop.n_units
+    if design is DesignKind.SRSWOR:
+        idx = rng.choice(N, size=n, replace=False)
+        return idx, np.full(n, n / N), None
+    if design is DesignKind.LMS:
+        first = int(rng.choice(N, p=pop.x / pop.x_total()))
+        rest = rng.choice(np.delete(np.arange(N), first), size=n - 1, replace=False)
+        idx = np.concatenate(([first], rest))
+        return idx, inclusion_probabilities(DesignKind.LMS, pop, n)[idx], None
+    sizes = rhc_group_sizes(N, n)
+    perm = rng.permutation(N)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    cum = np.cumsum(pop.x[perm])
+    lower = np.where(starts > 0, cum[starts - 1], 0.0)
+    totals = cum[ends - 1] - lower
+    pos = np.searchsorted(cum, lower + rng.random(n) * totals, side="right")
+    return perm[np.minimum(pos, ends - 1)], None, totals
+
+
+def _dominant_population():
+    """One unit holds 99 % of x: LMS picks it first almost always."""
+    x = np.r_[990.0, np.random.default_rng(6).uniform(0.5, 1.5, 9)]
+    return Population(x=x, y=np.zeros(10))
+
+
+_BATCH_CASES = {
+    "N10_n3": (_criterion_3_population, 3),
+    "N5000_n125": (_skewed_population, 125),
+    "dominant_n3": (_dominant_population, 3),
+}
+
+
+class TestDrawRows:
+    """Every design draws a batch in one call; row r is the single draw from
+    generator r, and ``draw`` is the one-row batch."""
+
+    @pytest.mark.parametrize("case", list(_BATCH_CASES))
+    @pytest.mark.parametrize("design", [DesignKind.SRSWOR, DesignKind.LMS, DesignKind.RHC])
+    def test_rows_are_the_per_sample_draws(self, design, case):
+        make, n = _BATCH_CASES[case]
+        pop, m = make(), 30
+        rngs = _rngs(6, m)
+        batch = designs._draw_rows(design, pop, n, rngs)
+        assert batch.indices.shape == (m, n) and batch.indices.dtype == np.intp
+        for r, twin in enumerate(_rngs(6, m)):
+            idx, pi, g_totals = _parent_draw(design, pop, n, twin)
+            np.testing.assert_array_equal(batch.indices[r], idx)
+            for got, want in ((batch[r].pi, pi), (batch[r].g_totals, g_totals)):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.tobytes() == want.tobytes()
+            assert rngs[r].bit_generator.state == twin.bit_generator.state
+
+    # Rao-Sampford is infeasible on the dominant unit: n x / sum x >= 1
+    @pytest.mark.parametrize("design, case", [
+        (d, c) for d in DesignKind for c in _BATCH_CASES
+        if (d, c) != (DesignKind.RAO_SAMPFORD, "dominant_n3")
+    ])
+    def test_draw_is_the_one_row_batch(self, design, case):
+        make, n = _BATCH_CASES[case]
+        pop = make()
+        for seed in range(5):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            single = draw(design, pop, n, rng)
+            row = designs._draw_rows(design, pop, n, [twin])[0]
+            assert single.indices.ndim == 1
+            for got, want in ((single.indices, row.indices), (single.pi, row.pi),
+                              (single.g_totals, row.g_totals)):
+                assert (got is None and want is None) or got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("make", [_skewed_population, _dominant_population])
+    def test_lms_first_unit_is_the_choice_pick(self, make):
+        # the inverse-cdf pick must stay Generator.choice(N, p=p): a numpy
+        # change to choice would otherwise move the LMS stream silently
+        pop = make()
+        N, p = pop.n_units, pop.x / pop.x_total()
+        firsts = designs._draw_rows(DesignKind.LMS, pop, 3, _rngs(9, 1000)).indices[:, 0]
+        expected = [int(rng.choice(N, p=p)) for rng in _rngs(9, 1000)]
+        np.testing.assert_array_equal(firsts, expected)
+
+
 def _library_built(pop, n):
     """Every kind of draw, batch and support the library builds itself."""
     out = []
@@ -618,7 +705,7 @@ def _library_built(pop, n):
         batch = SampleDraw.stack(draws)
         out += [*draws, batch, batch[2], batch[1:4], batch[[4, 0]]]
         out.append(enumerate_design(design, pop, n).batch)
-    out.append(designs._rao_sampford_rows(pop, n, _rngs(4, 6)))
+        out.append(designs._draw_rows(design, pop, n, _rngs(4, 6)))
     return out
 
 

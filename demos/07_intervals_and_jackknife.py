@@ -22,7 +22,7 @@ from finpop import (
     jackknife_bc,
     plug_in,
     run_experiment,
-    variance_est_pi,
+    variance_estimate,
 )
 
 pop = generate_univariate(default_univariate_spec(), 5000, seed=4)
@@ -31,7 +31,7 @@ rng = np.random.default_rng(3)
 
 s = draw(DesignKind.SRSWOR, pop, 100, rng)
 est = plug_in(MEAN, EstimatorKind.PEML, s, pop)
-var = variance_est_pi(s, pop, MEAN, EstimatorKind.PEML)
+var = variance_estimate(s, pop, MEAN, EstimatorKind.PEML)
 ci = confidence_interval(est, var, s.n, level=0.95)
 print(f"point estimate {est:.2f}, true mean {truth:.2f}")
 print(f"95% interval [{ci.lower:.2f}, {ci.upper:.2f}] "

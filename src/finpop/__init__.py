@@ -10,7 +10,7 @@ Submodules:
 * ``functionals`` -- mean, variance, correlation and regression coefficient
   as plug-in functionals
 * ``asymptotics`` -- large-sample MSE formulas and equivalence classes
-* ``inference``   -- plug-in variance estimators, confidence intervals,
+* ``inference``   -- the plug-in variance estimate, confidence intervals,
   jackknife bias correction
 * ``montecarlo``  -- seeded replicate runner (MSEs, relative efficiencies,
   interval statistics)

@@ -136,21 +136,6 @@ class SampleDraw:
             object.__setattr__(self, name, value)
         return self
 
-    @classmethod
-    def stack(cls, draws) -> "SampleDraw":
-        """The batch whose row r is the r-th of these same-size samples."""
-        draws = list(draws)
-        if not draws or {(s.design, s.indices.ndim) for s in draws} != {(draws[0].design, 1)}:
-            raise ParameterError("stack needs one or more single samples of one design")
-        pi_based = draws[0].design.is_pi_based
-        meta = np.stack([s.pi if pi_based else s.g_totals for s in draws])
-        return cls._trusted(
-            draws[0].design,
-            np.stack([s.indices for s in draws]),
-            pi=meta if pi_based else None,
-            g_totals=None if pi_based else meta,
-        )
-
     def __getitem__(self, rows) -> "SampleDraw":
         """The sample at batch row ``rows`` (an int), or the batch of the rows
         a slice or index array selects, which must keep at least one row."""

@@ -9,7 +9,8 @@ G_i/(N x_i) for RHC draws) and Xbar the known population mean of x:
   Hajek           sum_s d_i h_i / sum_s d_i
   ratio           (sum_s d_i h_i / sum_s d_i x_i) * Xbar
   product         (sum_s d_i h_i)(sum_s d_i x_i) / Xbar
-  GREG            weighted-least-squares calibration on x with weights d_i
+  GREG            Hajek(h) + b (Xbar - Hajek(x)), b the d-weighted
+                  least-squares slope of h on x
   PEML            sum_s c_i h_i, with c maximizing sum_s d_i log c_i subject
                   to sum c_i = 1 and sum c_i (x_i - Xbar) = 0
 
@@ -17,7 +18,8 @@ G_i/(N x_i) for RHC draws) and Xbar the known population mean of x:
 design weights, a zero weight leaving the unit out, over one sample shared by
 the rows or over one sample per row: ``estimate_mean`` is its case of one
 sample or of a batch of samples, and the jackknife passes one row per
-left-out unit of a sample.
+left-out unit of a sample.  GREG's slope ``_wls_slope`` is also the one the
+GREG/PEML variance estimates of ``inference`` linearize with.
 """
 
 from __future__ import annotations
@@ -194,6 +196,27 @@ def _row_dots(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (w[:, None, :] @ v)[:, 0]
 
 
+def _wls_slope(w: np.ndarray, x_sample: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The (m, p) w-weighted least-squares slopes of h on x, one per row of
+    w (m, n), over one shared sample, x (n,) and h (n, p), or one sample per
+    row, x (m, n) and h (m, n, p).  x is shifted by the x of each row's first
+    positively weighted unit before it is centred, so that a row whose
+    weighted x values are all equal, and only such a row, has a zero
+    denominator; that row raises with its ``row``."""
+    first = (w > 0).argmax(axis=1)
+    x0 = x_sample - np.broadcast_to(x_sample, w.shape)[np.arange(len(w)), first][:, None]
+    xc = x0 - (_row_dots(w, x0) / w.sum(axis=1))[:, None]
+    s2x = _row_dots(w, xc * xc)
+    _check_positive(s2x, "sampled x values are all equal; the regression slope is undefined")
+    return ((w * xc)[:, None, :] @ h)[:, 0] / s2x[:, None]
+
+
+def _check_positive(values: np.ndarray, message: str) -> None:
+    bad = values <= 0
+    if bad.any():
+        raise DegenerateError(message).at_row(int(bad.argmax()))
+
+
 def estimate_mean_rows(
     kind: EstimatorKind,
     weights: np.ndarray,
@@ -218,17 +241,8 @@ def estimate_mean_rows(
         return dh * dot(weights, x_sample)[:, None] / x_bar
     if kind is EstimatorKind.GREG:
         dsum = weights.sum(axis=1)[:, None]
-        h_star = dh / dsum
         x_star = dot(weights, x_sample)[:, None] / dsum
-        xc = x_sample - x_star
-        denom = _row_dots(weights, xc * xc)[:, None]
-        flat = denom[:, 0] <= 0
-        if flat.any():
-            raise DegenerateError(
-                "weighted x variance is zero; regression calibration undefined"
-            ).at_row(int(flat.argmax()))
-        beta = _row_dots(weights * xc, h - h_star[:, None, :]) / denom
-        return h_star + beta * (x_bar - x_star)
+        return dh / dsum + _wls_slope(weights, x_sample, h) * (x_bar - x_star)
     if kind is EstimatorKind.PEML:
         return dot(peml_weights(weights, x_sample, x_bar), h)
     raise CombinationError(f"unknown estimator {kind}")  # pragma: no cover

@@ -60,4 +60,17 @@ def drop_unit(sample, position):
     )
 
 
+def stack(draws):
+    """The validated batch whose row r is the r-th of these same-size draws."""
+    draws = list(draws)
+    pi_based = draws[0].design.is_pi_based
+    meta = np.stack([s.pi if pi_based else s.g_totals for s in draws])
+    return SampleDraw(
+        draws[0].design,
+        np.stack([s.indices for s in draws]),
+        pi=meta if pi_based else None,
+        g_totals=None if pi_based else meta,
+    )
+
+
 ALL_DESIGNS = list(DesignKind)

@@ -16,7 +16,7 @@ PUBLIC = [
     "exact_vs_formula", "gamma_coeff", "generate_bivariate", "generate_univariate",
     "inclusion_probabilities", "jackknife_bc", "load_csv", "peml_weights", "plug_in",
     "population_value", "regression_coef", "relative_efficiency", "rhc_group_sizes",
-    "run_experiment", "valid_pair", "variance_est_pi", "variance_est_rhc", "write_csv",
+    "run_experiment", "valid_pair", "variance_estimate", "write_csv",
 ]
 
 SUBMODULES = (

@@ -21,7 +21,7 @@ from finpop import (
     inclusion_probabilities,
     rhc_group_sizes,
 )
-from conftest import drop_unit, random_population
+from conftest import drop_unit, random_population, stack
 
 
 class TestInclusionProbabilities:
@@ -213,7 +213,7 @@ def _reference_support(design, pop, n):
                     prob *= pop.x[unit] / totals[j]
                 idx = np.array(picks, dtype=np.intp)
                 out.append((SampleDraw(DesignKind.RHC, idx, g_totals=np.array(totals)), prob))
-    return SampleDraw.stack(s for s, _ in out), np.array([p for _, p in out])
+    return stack(s for s, _ in out), np.array([p for _, p in out])
 
 
 class TestEnumerate:
@@ -382,7 +382,7 @@ class TestSampleDraw:
         rng = np.random.default_rng(5)
         for design in DesignKind:
             draws = [draw(design, pop5, 2, rng) for _ in range(6)]
-            batch = SampleDraw.stack(draws)
+            batch = stack(draws)
             assert batch.indices.shape == (6, 2) and batch.n == 2
             for r, s in enumerate(draws):
                 row = batch[r]
@@ -395,17 +395,13 @@ class TestSampleDraw:
     def test_selections_and_stacks_that_are_no_batch_are_rejected(self, pop5):
         rng = np.random.default_rng(5)
         draws = [draw(DesignKind.RHC, pop5, 2, rng) for _ in range(3)]
-        batch = SampleDraw.stack(draws)
+        batch = stack(draws)
         for rows in (slice(2, 2), np.array([], int), np.zeros(3, bool), (slice(None), 0),
                      None, [[0, 1]]):
             with pytest.raises(ParameterError, match="one or more rows of a batch"):
                 batch[rows]
         with pytest.raises(ParameterError, match="one or more rows of a batch"):
             draws[0][0]
-        srswor = draw(DesignKind.SRSWOR, pop5, 2, rng)
-        for bad in ([], [draws[0], srswor], [batch, batch]):
-            with pytest.raises(ParameterError, match="single samples of one design"):
-                SampleDraw.stack(bad)
 
     def test_batch_names_its_first_row_with_duplicates(self):
         idx = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 6], [1, 1, 2]])
@@ -700,12 +696,10 @@ def _library_built(pop, n):
     """Every kind of draw, batch and support the library builds itself."""
     out = []
     for design in DesignKind:
-        rngs = _rngs(3, 6)
-        draws = [draw(design, pop, n, rng) for rng in rngs]
-        batch = SampleDraw.stack(draws)
+        draws = [draw(design, pop, n, rng) for rng in _rngs(3, 6)]
+        batch = designs._draw_rows(design, pop, n, _rngs(4, 6))
         out += [*draws, batch, batch[2], batch[1:4], batch[[4, 0]]]
         out.append(enumerate_design(design, pop, n).batch)
-        out.append(designs._draw_rows(design, pop, n, _rngs(4, 6)))
     return out
 
 

@@ -7,12 +7,15 @@ from finpop import (
     DesignKind,
     EstimatorKind,
     InfeasibleError,
+    JackknifeFailureError,
+    MEAN,
     ParameterError,
     Population,
     SampleDraw,
     design_weights,
     draw,
     estimate_mean,
+    jackknife_bc,
     peml_weights,
     valid_pair,
 )
@@ -169,6 +172,46 @@ class TestClosedForms:
         s = srswor_sample(pop, [0, 1, 2])
         with pytest.raises(DegenerateError):
             estimate_mean(EstimatorKind.GREG, s, pop, pop.y[s.indices][:, 0])
+
+
+class TestGregEqualX:
+    """GREG is undefined on a sample whose x values are all equal, also where
+    their weighted mean rounds away from them under unequal weights: 1.1 has
+    no exact binary form."""
+
+    @staticmethod
+    def pop():
+        return Population(x=np.array([3.0, 1.1, 1.1, 1.1, 1.1, 2.0]),
+                          y=np.array([1.0, 2.0, 4.0, 3.0, 7.0, 5.0]))
+
+    @staticmethod
+    def rs_draw(indices, pi):
+        return SampleDraw(DesignKind.RAO_SAMPFORD, np.array(indices), pi=np.array(pi))
+
+    def test_single_sample(self):
+        pop = self.pop()
+        s = self.rs_draw([1, 2, 3], [0.3, 0.5, 0.6])
+        with pytest.raises(DegenerateError) as err:
+            estimate_mean(EstimatorKind.GREG, s, pop, pop.y[s.indices])
+        assert err.value.row == 0
+
+    def test_batch_row(self):
+        pop = self.pop()
+        batch = self.rs_draw([[0, 1, 2], [1, 2, 3], [2, 3, 5]],
+                             [[0.5, 0.2, 0.4], [0.3, 0.5, 0.6], [0.4, 0.6, 0.2]])
+        with pytest.raises(DegenerateError) as err:
+            estimate_mean(EstimatorKind.GREG, batch, pop, pop.y[batch.indices])
+        assert err.value.row == 1
+
+    def test_jackknife_without_the_one_other_x(self):
+        # every unit but unit 0 has x = 1.1: its leave-one-out row is flat
+        pop = self.pop()
+        s = self.rs_draw([0, 1, 2, 3], [0.5, 0.2, 0.4, 0.7])
+        assert np.isfinite(estimate_mean(EstimatorKind.GREG, s, pop, pop.y[s.indices]))
+        with pytest.raises(JackknifeFailureError) as err:
+            jackknife_bc(s, pop, MEAN, EstimatorKind.GREG)
+        assert err.value.unit == 0
+        assert isinstance(err.value.__cause__, DegenerateError)
 
 
 class TestPemlWeights:

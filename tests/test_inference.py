@@ -24,12 +24,11 @@ from finpop import (
     plug_in,
     regression_coef,
     valid_pair,
-    variance_est_pi,
-    variance_est_rhc,
+    variance_estimate,
 )
-from finpop.estimators import estimate_mean_rows
-from finpop.inference import supports_variance_estimate, variance_estimate
-from conftest import drop_unit, random_population
+from finpop.estimators import _wls_slope, estimate_mean_rows
+from finpop.inference import supports_variance_estimate
+from conftest import drop_unit, random_population, stack
 from test_estimators import srswor_sample
 
 
@@ -90,7 +89,7 @@ class TestSampleBatches:
         checked = 0
         for trial in range(4):
             draws = [draw(design, pop, 8, rng) for _ in range(12)]
-            batch = SampleDraw.stack(draws)
+            batch = stack(draws)
             for kind in EstimatorKind:
                 if not supports_variance_estimate(kind, design):
                     continue
@@ -127,8 +126,6 @@ class TestRegressionSlope:
     centred moments: defined unless every sampled x is equal."""
 
     def test_slope_is_weighted_least_squares(self):
-        from finpop.inference import _wls_slope
-
         rng = np.random.default_rng(5)
         d = rng.uniform(0.5, 2.0, size=(6, 9))
         x = rng.gamma(25.0, 4.0, size=(6, 9))
@@ -139,6 +136,17 @@ class TestRegressionSlope:
             design = np.column_stack([np.ones(9), x[r]]) * sw
             coef = np.linalg.lstsq(design, h[r] * sw, rcond=None)[0]
             np.testing.assert_allclose(got[r], coef[1], rtol=1e-9)
+
+    def test_shared_sample_rows_match_their_own_samples(self):
+        # the jackknife's shape: every row weights the one sample, a zero
+        # weight leaving a unit out, unit 0 included
+        rng = np.random.default_rng(6)
+        x = rng.gamma(25.0, 4.0, size=7)
+        h = rng.normal(size=(7, 2)) + x[:, None]
+        w = np.where(np.eye(7, dtype=bool), 0.0, rng.uniform(0.5, 2.0, size=7))
+        got = _wls_slope(w, x, h)
+        want = _wls_slope(w, np.tile(x, (7, 1)), np.tile(h, (7, 1, 1)))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("design", [DesignKind.RAO_SAMPFORD, DesignKind.RHC])
     def test_only_equal_x_is_degenerate(self, design):
@@ -176,7 +184,7 @@ class TestVarianceEstPi:
     def test_constant_h_hajek_is_zero(self, pop4):
         pop = Population(x=pop4.x, y=np.full(4, 5.5))
         s = srswor_sample(pop, [1, 3])
-        assert variance_est_pi(s, pop, MEAN, EstimatorKind.HAJEK) == pytest.approx(
+        assert variance_estimate(s, pop, MEAN, EstimatorKind.HAJEK) == pytest.approx(
             0.0, abs=1e-20
         )
 
@@ -188,21 +196,21 @@ class TestVarianceEstPi:
         pop = Population(x=np.array([1.0, 1.0, 1.0, 1.0]),
                          y=np.array([1.0, 3.0, 8.0, 9.0]))
         s = srswor_sample(pop, [0, 1])
-        got = variance_est_pi(s, pop, MEAN, EstimatorKind.HT)
+        got = variance_estimate(s, pop, MEAN, EstimatorKind.HT)
         assert got == pytest.approx(0.5, abs=1e-14)
 
     def test_census_like_degenerate(self, pop4):
         s = SampleDraw(DesignKind.SRSWOR, np.array([0, 1]), pi=np.array([1.0, 1.0]))
         with pytest.raises(DegenerateError):
-            variance_est_pi(s, pop4, MEAN, EstimatorKind.HT)
+            variance_estimate(s, pop4, MEAN, EstimatorKind.HT)
 
     def test_rejects_rhc_draw_and_bad_kind(self, pop5):
         r = draw(DesignKind.RHC, pop5, 2, np.random.default_rng(0))
         with pytest.raises(CombinationError):
-            variance_est_pi(r, pop5, MEAN, EstimatorKind.RHC_EST)
+            variance_estimate(r, pop5, MEAN, EstimatorKind.HT)
         s = srswor_sample(pop5, [0, 1])
         with pytest.raises(CombinationError):
-            variance_est_pi(s, pop5, MEAN, EstimatorKind.RATIO)
+            variance_estimate(s, pop5, MEAN, EstimatorKind.RATIO)
 
     def test_nonnegative_on_random_draws(self):
         rng = np.random.default_rng(41)
@@ -218,7 +226,7 @@ class TestVarianceEstPi:
                 EstimatorKind.PEML,
             )[int(rng.integers(4))]
             try:
-                v = variance_est_pi(s, pop, MEAN, kind)
+                v = variance_estimate(s, pop, MEAN, kind)
             except DegenerateError:
                 continue
             assert v >= -1e-12
@@ -233,7 +241,7 @@ class TestVarianceEstPi:
         for _ in range(1000):
             s = draw(DesignKind.SRSWOR, benchmark_pop, n, rng)
             ests.append(plug_in(MEAN, EstimatorKind.PEML, s, benchmark_pop))
-            vars_.append(variance_est_pi(s, benchmark_pop, MEAN, EstimatorKind.PEML))
+            vars_.append(variance_estimate(s, benchmark_pop, MEAN, EstimatorKind.PEML))
         n_mse = n * empirical_mse(ests, truth)
         med = float(np.median(vars_))
         assert abs(med - n_mse) / n_mse < 0.20
@@ -246,7 +254,7 @@ class TestVarianceEstRhc:
         rng = np.random.default_rng(43)
         for _ in range(20):
             s = draw(DesignKind.RHC, pop, 2, rng)
-            v = variance_est_rhc(s, pop, MEAN, EstimatorKind.RHC_EST)
+            v = variance_estimate(s, pop, MEAN, EstimatorKind.RHC_EST)
             assert v == pytest.approx(0.0, abs=1e-20)
 
     def test_hand_evaluated_tiny_case(self):
@@ -258,7 +266,7 @@ class TestVarianceEstRhc:
         s = SampleDraw(
             DesignKind.RHC, np.array([0, 3]), g_totals=np.array([6.0, 9.0])
         )
-        got = variance_est_rhc(s, pop, MEAN, EstimatorKind.RHC_EST)
+        got = variance_estimate(s, pop, MEAN, EstimatorKind.RHC_EST)
         assert got == pytest.approx(0.432, abs=1e-14)
 
     def test_nonnegative_on_random_draws(self):
@@ -271,7 +279,7 @@ class TestVarianceEstRhc:
                 int(rng.integers(3))
             ]
             try:
-                v = variance_est_rhc(s, pop, MEAN, kind)
+                v = variance_estimate(s, pop, MEAN, kind)
             except DegenerateError:
                 continue
             assert v >= -1e-12
@@ -279,7 +287,7 @@ class TestVarianceEstRhc:
     def test_rejects_pi_draw(self, pop5):
         s = srswor_sample(pop5, [0, 1])
         with pytest.raises(CombinationError):
-            variance_est_rhc(s, pop5, MEAN, EstimatorKind.RHC_EST)
+            variance_estimate(s, pop5, MEAN, EstimatorKind.RHC_EST)
 
 
 class TestJackknife:

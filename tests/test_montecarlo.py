@@ -282,16 +282,15 @@ class TestBatchedReplicates:
     REPLICATES = 20
 
     @staticmethod
-    def skewed_pop():
-        # nine units in ten share one x value: small samples often miss
-        # the others, so PEML calibration is infeasible on some rows and the
-        # GREG/PEML regression slope of the variance estimate undefined on
-        # rows whose x values are all equal
+    def tied_pop():
+        # x = 1.5 = x_bar on nine units in ten, 1.0 and 2.0 on the others:
+        # small samples often miss 1.0 or 2.0, so PEML calibration is
+        # infeasible on some rows, and on rows whose x values are all 1.5 the
+        # PEML constraint is vacuous (the estimate exists) while the
+        # regression slope of its variance estimate is undefined
         rng = np.random.default_rng(3)
-        N = 2000
-        big = rng.random(N) < 0.1
-        x = np.where(big, rng.uniform(2.0, 2.5, N), 1.3)
-        return Population(x=x, y=1.0 + 2.0 * x + rng.normal(size=N))
+        x = rng.permutation(np.repeat([1.5, 1.0, 2.0], [1800, 100, 100]))
+        return Population(x=x, y=1.0 + 2.0 * x + rng.normal(size=x.size))
 
     @staticmethod
     def reference(cfg, cell, n):
@@ -363,21 +362,24 @@ class TestBatchedReplicates:
         )
         assert len(cells) == 42
         cfg = ExperimentConfig(
-            population=self.skewed_pop(), cells=cells, sample_sizes=self.SIZES,
+            population=self.tied_pop(), cells=cells, sample_sizes=self.SIZES,
             replicates=self.REPLICATES, seed=31, jackknife=jackknife,
         )
         report = self.check(cfg)
         # the grid holds failing rows of each kind, so the row-failure walk is
         # exercised: an infeasible PEML hull fails the estimate, a sample of
-        # equal x values drops the GREG interval of an estimate under RS and RHC
+        # equal x values drops the interval of a PEML estimate but fails a
+        # GREG estimate, which shares the interval's regression slope
         at10 = {(r.cell.design, r.cell.estimator, r.cell.functional): r
                 for r in report.cells if r.n == 10}
-        peml = at10[(DesignKind.SRSWOR, EstimatorKind.PEML, MEAN)]
-        assert 0 < peml.failures < self.REPLICATES
-        for design in (DesignKind.RAO_SAMPFORD, DesignKind.RHC):
+        for design in DesignKind:
+            peml = at10[(design, EstimatorKind.PEML, MEAN)]
+            assert 0 < peml.failures < self.REPLICATES
+            assert 0 < peml.ci_count < self.REPLICATES - peml.failures
             greg = at10[(design, EstimatorKind.GREG, MEAN)]
-            assert 0 < greg.ci_count < self.REPLICATES - greg.failures
+            assert 0 < greg.ci_count == self.REPLICATES - greg.failures
         if jackknife:
+            peml = at10[(DesignKind.SRSWOR, EstimatorKind.PEML, MEAN)]
             assert 0 < peml.bc_failures < self.REPLICATES
 
     @pytest.mark.parametrize("jackknife", [False, True])

@@ -5,6 +5,10 @@ Each design can draw a sample (given an externally supplied random
 generator), report its inclusion probabilities where those are fixed, and
 enumerate its whole sample space with exact probabilities for oracle-style
 verification on tiny populations, as one (K, n) batch of all K support points.
+The population-free part of a sample space, its subsets or RHC's outcomes
+and group layouts, is built once per (N, n) and kept while the next call
+asks for the same (N, n): one per kind, read-only, and only when it has at
+most 2**21 index entries (16 MB), so at most 32 MB stay alive.
 
 Every design draws a batch of samples, one per generator, in one call that
 computes what depends only on (population, n) once; a row is what a single
@@ -28,7 +32,8 @@ import enum
 import itertools
 import weakref
 from dataclasses import dataclass
-from math import comb, factorial, isqrt
+from functools import lru_cache
+from math import comb, factorial, isqrt, prod
 
 import numpy as np
 
@@ -419,16 +424,33 @@ def _groupings(
     return np.concatenate(layouts), orders, np.concatenate(which)
 
 
-def _count_groupings(N: int, sizes: np.ndarray) -> int:
-    total = 1
-    remaining = N
+def _count_groupings(N: int, sizes: list[int]) -> int:
+    """The number of partitions of N units into unlabeled blocks of these
+    sizes: the multinomial coefficient over the orderings of equal sizes."""
+    total, remaining = 1, N
     for s in sizes:
-        total *= comb(remaining, int(s))
-        remaining -= int(s)
-    mult = 1
-    for s in set(sizes.tolist()):
-        mult *= factorial(int(np.sum(sizes == s)))
-    return total // mult
+        total *= comb(remaining, s)
+        remaining -= s
+    for s in set(sizes):
+        total //= factorial(sizes.count(s))
+    return total
+
+
+def _skeleton(build, N: int, n: int, entries: int):
+    """``build(N, n)``, from its one-entry cache when the skeleton holds at
+    most ``_FULL_TABLE`` index entries, else built afresh and not kept."""
+    return (build if entries <= _FULL_TABLE else build.__wrapped__)(N, n)
+
+
+@lru_cache(maxsize=1)
+def _subsets(N: int, n: int) -> np.ndarray:
+    """The read-only (C(N, n), n) array of all n-subsets of 0..N-1 in
+    lexicographic order."""
+    K = comb(N, n)
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(N), n))
+    idx = np.fromiter(subsets, np.intp, count=K * n).reshape(K, n)
+    idx.setflags(write=False)
+    return idx
 
 
 def enumerate_design(design: DesignKind, pop: Population, n: int) -> Support:
@@ -441,61 +463,87 @@ def enumerate_design(design: DesignKind, pop: Population, n: int) -> Support:
     grouping's picks as the product of its blocks, the first varying slowest.
     Rao-Sampford probabilities are Sampford's (1967) P(s) proportional to
     sum_{i in s} (1 - pi_i) prod_{i in s} pi_i / (1 - pi_i).
-    The size is checked against ``ENUMERATION_CAP`` before anything is built.
+    The size is checked against ``ENUMERATION_CAP`` before anything is built;
+    what does not depend on the population may come from the last call with
+    the same (N, n) (see ``_skeleton``).
     """
     _check_n(pop, n)
     N = pop.n_units
     if design is DesignKind.RHC:
-        return _enumerate_rhc(pop, n)
-    K = comb(N, n)
-    if K > ENUMERATION_CAP:
-        raise EnumerationTooLargeError(f"{K} subsets exceed the cap of {ENUMERATION_CAP}")
-    pi_all = inclusion_probabilities(design, pop, n)
-    subsets = itertools.chain.from_iterable(itertools.combinations(range(N), n))
-    idx = np.fromiter(subsets, np.intp, count=K * n).reshape(K, n)
-    if design is DesignKind.SRSWOR:
-        probs = np.full(K, 1.0 / K)
-    elif design is DesignKind.LMS:
-        probs = (pop.x[idx].mean(axis=1) / pop.x_bar()) / K
+        batch, probs = _enumerate_rhc(pop, n)
     else:
-        r = pi_all / (1.0 - pi_all)
-        w = (1.0 - pi_all)[idx].sum(axis=1) * r[idx].prod(axis=1)
-        probs = w / w.sum()
-    return Support(SampleDraw._trusted(design, idx, pi=pi_all[idx]), probs)
+        K = comb(N, n)
+        if K > ENUMERATION_CAP:
+            raise EnumerationTooLargeError(
+                f"{K} subsets exceed the cap of {ENUMERATION_CAP}"
+            )
+        pi_all = inclusion_probabilities(design, pop, n)
+        idx = _skeleton(_subsets, N, n, K * n)
+        if design is DesignKind.SRSWOR:
+            probs = np.full(K, 1.0 / K)
+        elif design is DesignKind.LMS:
+            probs = (pop.x[idx].mean(axis=1) / pop.x_bar()) / K
+        else:
+            r = pi_all / (1.0 - pi_all)
+            w = (1.0 - pi_all)[idx].sum(axis=1) * r[idx].prod(axis=1)
+            probs = w / w.sum()
+        batch = SampleDraw._trusted(design, idx, pi=pi_all[idx])
+    probs.setflags(write=False)
+    return Support(batch, probs)
 
 
-def _enumerate_rhc(pop: Population, n: int) -> Support:
-    """RHC's support: groupings sharing a block-size order share one template
-    of within-layout positions, so their picks are one gather and each block's
-    x-totals one row-wise sum.  An outcome's probability is 1 / G times one
+@lru_cache(maxsize=1)
+def _rhc_outcomes(N: int, n: int) -> tuple[np.ndarray, tuple]:
+    """RHC's outcomes as the read-only (G * prod(sizes), n) unit array, and
+    per block-size order the rows of its groupings and each block's units,
+    (G_k, size).  Groupings sharing an order share one template of
+    within-layout positions, so their picks are one gather."""
+    sizes = tuple(rhc_group_sizes(N, n).tolist())
+    per_grouping = prod(sizes)
+    layout, orders, which = _groupings(N, sizes)
+    idx = np.empty((len(layout), per_grouping, n), np.intp)
+    blocks = []
+    for k, order in enumerate(orders):
+        rows = which == k
+        ends = itertools.accumulate(order)
+        spans = [range(e - b, e) for b, e in zip(order, ends)]
+        template = np.fromiter(
+            itertools.chain.from_iterable(itertools.product(*spans)),
+            np.intp,
+            count=per_grouping * n,
+        ).reshape(per_grouping, n)
+        units = layout[rows]
+        idx[rows] = units[:, template]
+        units.setflags(write=False)
+        rows.setflags(write=False)
+        blocks.append((rows, tuple(units[:, span.start : span.stop] for span in spans)))
+    idx = idx.reshape(-1, n)
+    idx.setflags(write=False)
+    return idx, tuple(blocks)
+
+
+def _enumerate_rhc(pop: Population, n: int) -> tuple[SampleDraw, np.ndarray]:
+    """RHC's support: each block's x-totals are one row-wise sum over the
+    groupings of its order.  An outcome's probability is 1 / G times one
     selection factor per group, multiplied in group order."""
     N = pop.n_units
-    sizes = rhc_group_sizes(N, n)
-    n_groupings, per_grouping = _count_groupings(N, sizes), int(np.prod(sizes))
+    sizes = rhc_group_sizes(N, n).tolist()
+    n_groupings, per_grouping = _count_groupings(N, sizes), prod(sizes)
     n_outcomes = n_groupings * per_grouping
     if n_outcomes > ENUMERATION_CAP:
         raise EnumerationTooLargeError(
             f"{n_outcomes} grouping/selection outcomes exceed the cap "
             f"of {ENUMERATION_CAP}"
         )
-    layout, orders, which = _groupings(N, tuple(sizes.tolist()))
-    idx = np.empty((n_groupings, per_grouping, n), np.intp)
+    # the outcomes' units and, block by block, every grouping's units
+    entries = n_outcomes * n + n_groupings * N
+    idx, blocks = _skeleton(_rhc_outcomes, N, n, entries)
     totals = np.empty((n_groupings, n))
-    for k, order in enumerate(orders):
-        rows = which == k
-        ends = itertools.accumulate(order)
-        blocks = [range(e - b, e) for b, e in zip(order, ends)]
-        template = np.fromiter(
-            itertools.chain.from_iterable(itertools.product(*blocks)),
-            np.intp,
-            count=per_grouping * n,
-        ).reshape(per_grouping, n)
-        units = layout[rows]
-        idx[rows] = units[:, template]
-        for j, block in enumerate(blocks):
-            totals[rows, j] = pop.x[units[:, block.start : block.stop]].sum(axis=1)
-    idx, g_totals = idx.reshape(-1, n), np.repeat(totals, per_grouping, axis=0)
+    for rows, units in blocks:
+        for j, block in enumerate(units):
+            totals[rows, j] = pop.x[block].sum(axis=1)
+    g_totals = np.repeat(totals, per_grouping, axis=0)
     probs = np.full(n_outcomes, 1.0 / n_groupings)
     for j in range(n):
         probs *= pop.x[idx[:, j]] / g_totals[:, j]
-    return Support(SampleDraw._trusted(DesignKind.RHC, idx, g_totals=g_totals), probs)
+    return SampleDraw._trusted(DesignKind.RHC, idx, g_totals=g_totals), probs

@@ -196,16 +196,21 @@ def _row_dots(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (w[:, None, :] @ v)[:, 0]
 
 
-def _wls_slope(w: np.ndarray, x_sample: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _wls_slope(
+    w: np.ndarray, x_sample: np.ndarray, h: np.ndarray, w_sum: np.ndarray | None = None
+) -> np.ndarray:
     """The (m, p) w-weighted least-squares slopes of h on x, one per row of
     w (m, n), over one shared sample, x (n,) and h (n, p), or one sample per
-    row, x (m, n) and h (m, n, p).  x is shifted by the x of each row's first
-    positively weighted unit before it is centred, so that a row whose
-    weighted x values are all equal, and only such a row, has a zero
-    denominator; that row raises with its ``row``."""
+    row, x (m, n) and h (m, n, p); ``w_sum`` is ``w.sum(axis=1)`` if the
+    caller has it.  x is shifted by the x of each row's first positively
+    weighted unit before it is centred, so that a row whose weighted x values
+    are all equal, and only such a row, has a zero denominator; that row
+    raises with its ``row``."""
+    if w_sum is None:
+        w_sum = w.sum(axis=1)
     first = (w > 0).argmax(axis=1)
     x0 = x_sample - np.broadcast_to(x_sample, w.shape)[np.arange(len(w)), first][:, None]
-    xc = x0 - (_row_dots(w, x0) / w.sum(axis=1))[:, None]
+    xc = x0 - (_row_dots(w, x0) / w_sum)[:, None]
     s2x = _row_dots(w, xc * xc)
     _check_positive(s2x, "sampled x values are all equal; the regression slope is undefined")
     return ((w * xc)[:, None, :] @ h)[:, 0] / s2x[:, None]
@@ -240,9 +245,10 @@ def estimate_mean_rows(
     if kind is EstimatorKind.PRODUCT:
         return dh * dot(weights, x_sample)[:, None] / x_bar
     if kind is EstimatorKind.GREG:
-        dsum = weights.sum(axis=1)[:, None]
-        x_star = dot(weights, x_sample)[:, None] / dsum
-        return dh / dsum + _wls_slope(weights, x_sample, h) * (x_bar - x_star)
+        dsum = weights.sum(axis=1)
+        x_star = dot(weights, x_sample)[:, None] / dsum[:, None]
+        slope = _wls_slope(weights, x_sample, h, dsum)
+        return dh / dsum[:, None] + slope * (x_bar - x_star)
     if kind is EstimatorKind.PEML:
         return dot(peml_weights(weights, x_sample, x_bar), h)
     raise CombinationError(f"unknown estimator {kind}")  # pragma: no cover

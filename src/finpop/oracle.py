@@ -8,6 +8,12 @@ Sampford's closed-form sample probabilities.  This is the ground truth used
 to verify unbiasedness claims and to sanity-check the asymptotic MSE
 formulas at desk scale.  Exact mode tolerates no undefined estimate: any
 failure on a support point propagates.
+
+The population-free part of each sample space (the subsets, or RHC's
+outcomes and group layouts) is built once per (N, n) and reused by the next
+calls with that (N, n), whatever the population, estimator or functional;
+``designs.enumerate_design`` keeps one per kind, of at most 2**21 index
+entries (16 MB) each.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import gc
+import weakref
 from collections import Counter
 from itertools import combinations, product
 from math import comb, isqrt
@@ -343,6 +344,123 @@ class TestEnumerate:
         monkeypatch.setattr(designs, "_groupings", build)
         with pytest.raises(EnumerationTooLargeError, match="exceed the cap"):
             enumerate_design(DesignKind.RHC, pop, 3)
+
+    @pytest.mark.parametrize("design", list(DesignKind))
+    def test_probabilities_are_read_only(self, pop5, design):
+        support = enumerate_design(design, pop5, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            support.probs[0] = 5.0
+
+
+def _clear_skeletons():
+    designs._subsets.cache_clear()
+    designs._rhc_outcomes.cache_clear()
+
+
+def _support_arrays(support):
+    batch = support.batch
+    return [a for a in (batch.indices, batch.pi, batch.g_totals, support.probs)
+            if a is not None]
+
+
+def _line_population(N, power=1.0):
+    """x from 1 to 2, raised to ``power``: spread little enough for
+    Rao-Sampford at the sizes used here (n = 3 at N = 8 with power 3)."""
+    return Population(x=np.linspace(1.0, 2.0, N) ** power, y=np.arange(float(N)))
+
+
+class TestSkeletonCache:
+    """What depends on (N, n) alone is built once and kept for the next call
+    with the same (N, n); what depends on the population is computed anew."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        _clear_skeletons()
+        yield
+        _clear_skeletons()
+
+    def test_supports_equal_fresh_builds_across_alternating_sizes(self):
+        rng = np.random.default_rng(41)
+        pops = {N: [Population(x=rng.uniform(1.0, 2.0, N), y=rng.normal(size=N))
+                    for _ in range(2)] for N in (7, 8, 9)}
+        served = Counter()
+        for N, n in [(7, 3), (9, 2), (7, 3), (8, 4), (8, 3), (9, 2), (7, 3)]:
+            for pop in pops[N]:
+                for design in DesignKind:
+                    got = enumerate_design(design, pop, n)
+                    cache = designs._subsets if design.is_pi_based else designs._rhc_outcomes
+                    served[design.is_pi_based] += cache.cache_info().hits
+                    cache.cache_clear()
+                    want = enumerate_design(design, pop, n)
+                    for a, b in zip(_support_arrays(got), _support_arrays(want), strict=True):
+                        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                        assert a.tobytes() == b.tobytes()
+        # every call but the first of a size and kind came from a cache
+        assert served == {True: 14 * 3 - 7, False: 14 - 7}
+
+    @pytest.mark.parametrize("design", list(DesignKind))
+    def test_populations_of_one_size_share_only_the_skeleton(self, design):
+        a, b = _line_population(8), _line_population(8, power=3.0)
+        first = enumerate_design(design, a, 3)
+        before = [x.copy() for x in _support_arrays(first)]
+        second = enumerate_design(design, b, 3)
+        assert second.batch.indices is first.batch.indices
+        for x, y in zip(_support_arrays(first)[1:], _support_arrays(second)[1:], strict=True):
+            assert not np.shares_memory(x, y)
+        for x, y in zip(_support_arrays(first), before, strict=True):
+            np.testing.assert_array_equal(x, y)
+        if design is not DesignKind.SRSWOR:
+            assert not np.array_equal(first.probs, second.probs)
+
+    def test_cached_index_arrays_are_read_only(self):
+        pop = _line_population(8)
+        for design in DesignKind:
+            enumerate_design(design, pop, 3)
+        idx, blocks = designs._rhc_outcomes(8, 3)
+        arrays = [designs._subsets(8, 3), idx]
+        arrays += [a for rows, units in blocks for a in (rows, *units)]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+        assert designs._subsets.cache_info().misses == 1
+        assert designs._rhc_outcomes.cache_info().misses == 1
+
+    def test_cap_refuses_before_building_while_a_skeleton_is_cached(self, monkeypatch):
+        small = _line_population(8)
+        kept = {d: enumerate_design(d, small, 3) for d in (DesignKind.SRSWOR, DesignKind.RHC)}
+        subsets_before = designs._subsets.cache_info()
+        big = Population(x=np.ones(40) + np.arange(40) * 0.01, y=np.zeros(40))
+
+        def build(*args):
+            raise AssertionError("a skeleton was built")
+
+        monkeypatch.setattr(designs, "_groupings", build)
+        with pytest.raises(EnumerationTooLargeError, match="exceed the cap"):
+            enumerate_design(DesignKind.RHC, big, 3)
+        for design in (DesignKind.SRSWOR, DesignKind.LMS, DesignKind.RAO_SAMPFORD):
+            with pytest.raises(EnumerationTooLargeError, match="exceed the cap"):
+                enumerate_design(design, big, 15)
+        assert designs._subsets.cache_info() == subsets_before
+        for design, support in kept.items():
+            assert enumerate_design(design, small, 3).batch.indices is support.batch.indices
+
+    def test_skeletons_over_the_table_bound_are_not_kept(self, monkeypatch):
+        # index entries: subsets 9 x C(9, 2) = 72 and 3 x C(9, 3) = 252; RHC
+        # outcomes and layouts 2 x 60 + 10 x 5 = 170 at (5, 2) and
+        # 2 x 90 + 10 x 6 = 240 at (6, 2)
+        monkeypatch.setattr(designs, "_FULL_TABLE", 200)
+        for design, small, large in (
+            (DesignKind.SRSWOR, (_line_population(9), 2), (_line_population(9), 3)),
+            (DesignKind.RHC, (_line_population(5), 2), (_line_population(6), 2)),
+        ):
+            kept = enumerate_design(design, *small)
+            support = enumerate_design(design, *large)
+            gone = weakref.ref(support.batch.indices)
+            del support
+            gc.collect()
+            assert gone() is None
+            assert enumerate_design(design, *small).batch.indices is kept.batch.indices
 
 
 class TestSampleDraw:

@@ -132,8 +132,9 @@ class TestExactVsFormula:
         assert d2 == pytest.approx(0.0, abs=1e-10)
 
     def test_rao_sampford_monte_carlo_matches_class6(self):
-        # no exact enumeration for Rao-Sampford: verify with a high-replicate
-        # Monte Carlo estimate of n * MSE against the class-6 formula
+        # N=200, n=20 is beyond the enumeration cap: verify with a
+        # high-replicate Monte Carlo estimate of n * MSE against the class-6
+        # formula
         rng = np.random.default_rng(52)
         x = rng.gamma(25.0, 40.0, size=200)
         y = 500.0 + x + rng.normal(0.0, 100.0, size=200)

@@ -4,7 +4,7 @@ Everything raised on purpose derives from :class:`FinpopError` so callers can
 catch library failures without swallowing programming errors.  A row-wise
 evaluation (one row per sample or per leave-one-out sample) names its first
 failing row, and ``rows_that_evaluate`` walks such an evaluation past its
-failures.
+failures, in passes of a bounded number of entries.
 """
 
 import numpy as np
@@ -22,47 +22,53 @@ __all__ = [
     "UndefinedParameterError",
     "JackknifeFailureError",
 ]
+_PASS_ENTRIES = 2**14  # the most entries, rows times their width, one pass is given
 
 
 class FinpopError(Exception):
-    """Base class for all finpop errors; ``row`` is the position of the first
-    offending row of a row-wise evaluation."""
+    """Base class for all finpop errors; ``row`` is the first offending row of
+    a row-wise evaluation, ``before`` any values it has of the rows before."""
 
-    row = 0
+    row, before = 0, None
 
-    def at_row(self, row: int) -> "FinpopError":
-        self.row = row
+    def at_row(self, row: int, before=None) -> "FinpopError":
+        self.row, self.before = row, before
         return self
 
 
-def rows_that_evaluate(evaluate, m: int, *, stop_at_failure: bool = False):
+def rows_that_evaluate(evaluate, m: int, width: int = 1, *, stop_at_failure=False):
     """Evaluate rows 0..m-1 of a row-wise computation, leaving out the rows
     that fail.
 
     ``evaluate(lo, hi)`` returns the values of rows lo..hi-1 or raises a
     :class:`FinpopError` whose ``row`` is its first failing row, counted from
     lo; the rows before a failing row are evaluated again, since one of them
-    may fail a later check.  Returns ``(kept, values, failure)``: the
-    positions of the rows that evaluate, their values, and ``(row, error)``
-    for the first failing row, or None.  With ``stop_at_failure`` nothing
-    after the first failing row is evaluated; otherwise its error carries no
-    traceback, whose frames would hold their arrays while later rows run.
+    may fail a later check, unless the error holds their values as
+    ``before``.  A call is given at most ``max(1, _PASS_ENTRIES // width)``
+    rows of ``width`` entries, whatever m is.  Returns ``(kept, values,
+    failure)``: the positions of the rows that evaluate, their values, and
+    ``(row, error)`` for the first failing row, or None.  With
+    ``stop_at_failure`` nothing after the first failing row is evaluated;
+    otherwise its error carries no traceback, whose frames would hold their
+    arrays while later rows run.
     """
-    kept, values, failure = [], [], None
-    lo = 0
+    step = max(1, _PASS_ENTRIES // width)
+    kept, values, failure, lo = [], [], None, 0
     while lo < m and not (failure and stop_at_failure):
-        hi, error = m, None
+        hi, error = min(m, lo + step), None
         while hi > lo:
             try:
                 values.append(evaluate(lo, hi))
             except FinpopError as exc:
                 hi, error = lo + exc.row, exc
-            else:
-                kept.append(np.arange(lo, hi))
-                break
+                if exc.before is None:
+                    continue
+                values.append(exc.before)
+            kept.append(np.arange(lo, hi))
+            break
         if error is not None and failure is None:
             failure = (hi, error if stop_at_failure else error.with_traceback(None))
-        lo = hi + 1
+        lo = hi + (error is not None)  # a failing row is left out
     if len(values) == 1:  # one run of rows: its values need no copy
         return kept[0], values[0], failure
     kept, values = [np.empty(0, dtype=int), *kept], [np.empty(0), *values]

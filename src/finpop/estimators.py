@@ -15,11 +15,11 @@ G_i/(N x_i) for RHC draws) and Xbar the known population mean of x:
                   to sum c_i = 1 and sum c_i (x_i - Xbar) = 0
 
 ``estimate_mean_rows`` evaluates them for each row of an (m, n) matrix of
-design weights, a zero weight leaving the unit out, over one sample shared by
-the rows or over one sample per row: ``estimate_mean`` is its case of one
-sample or of a batch of samples, and the jackknife passes one row per
-left-out unit of a sample.  GREG's slope ``_wls_slope`` is also the one the
-GREG/PEML variance estimates of ``inference`` linearize with.
+design weights, row i weighting sample i and a zero weight leaving the unit
+out: ``estimate_mean`` is its case of one sample or of a batch of samples,
+and the jackknife passes one row per left-out unit of each sample.  GREG's
+slope ``_wls_slope`` is also the one the GREG/PEML variance estimates of
+``inference`` linearize with.
 """
 
 from __future__ import annotations
@@ -200,16 +200,15 @@ def _wls_slope(
     w: np.ndarray, x_sample: np.ndarray, h: np.ndarray, w_sum: np.ndarray | None = None
 ) -> np.ndarray:
     """The (m, p) w-weighted least-squares slopes of h on x, one per row of
-    w (m, n), over one shared sample, x (n,) and h (n, p), or one sample per
-    row, x (m, n) and h (m, n, p); ``w_sum`` is ``w.sum(axis=1)`` if the
-    caller has it.  x is shifted by the x of each row's first positively
-    weighted unit before it is centred, so that a row whose weighted x values
-    are all equal, and only such a row, has a zero denominator; that row
-    raises with its ``row``."""
+    w (m, n) and its own sample, x (m, n) and h (m, n, p); ``w_sum`` is
+    ``w.sum(axis=1)`` if the caller has it.  x is shifted by the x of each
+    row's first positively weighted unit before it is centred, so that a row
+    whose weighted x values are all equal, and only such a row, has a zero
+    denominator; that row raises with its ``row``."""
     if w_sum is None:
         w_sum = w.sum(axis=1)
     first = (w > 0).argmax(axis=1)
-    x0 = x_sample - np.broadcast_to(x_sample, w.shape)[np.arange(len(w)), first][:, None]
+    x0 = x_sample - x_sample[np.arange(len(w)), first][:, None]
     xc = x0 - (_row_dots(w, x0) / w_sum)[:, None]
     s2x = _row_dots(w, xc * xc)
     _check_positive(s2x, "sampled x values are all equal; the regression slope is undefined")
@@ -230,27 +229,24 @@ def estimate_mean_rows(
     h: np.ndarray,
 ) -> np.ndarray:
     """The (m, p) mean estimates of the columns of h, one row per row of
-    design weights (m, n); an undefined row raises with its position as
-    ``row``.  Either every row weights one sample, x_sample (n,) and h (n, p),
-    or row i weights sample i, x_sample (m, n) and h (m, n, p)."""
-    # row i weights sample i, or every row weights the one sample
-    dot = _row_dots if x_sample.ndim == 2 else np.matmul
-    dh = dot(weights, h)
+    design weights (m, n), row i weighting sample i: x_sample (m, n) and
+    h (m, n, p).  An undefined row raises with its position as ``row``."""
+    dh = _row_dots(weights, h)
     if kind in (EstimatorKind.HT, EstimatorKind.RHC_EST):
         return dh
     if kind is EstimatorKind.HAJEK:
         return dh / weights.sum(axis=1)[:, None]
     if kind is EstimatorKind.RATIO:
-        return dh / dot(weights, x_sample)[:, None] * x_bar
+        return dh / _row_dots(weights, x_sample)[:, None] * x_bar
     if kind is EstimatorKind.PRODUCT:
-        return dh * dot(weights, x_sample)[:, None] / x_bar
+        return dh * _row_dots(weights, x_sample)[:, None] / x_bar
     if kind is EstimatorKind.GREG:
         dsum = weights.sum(axis=1)
-        x_star = dot(weights, x_sample)[:, None] / dsum[:, None]
+        x_star = _row_dots(weights, x_sample)[:, None] / dsum[:, None]
         slope = _wls_slope(weights, x_sample, h, dsum)
         return dh / dsum[:, None] + slope * (x_bar - x_star)
     if kind is EstimatorKind.PEML:
-        return dot(peml_weights(weights, x_sample, x_bar), h)
+        return _row_dots(peml_weights(weights, x_sample, x_bar), h)
     raise CombinationError(f"unknown estimator {kind}")  # pragma: no cover
 
 

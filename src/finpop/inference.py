@@ -22,9 +22,9 @@ estimate or interval per row; one sample is their batch of one.
 
 ``jackknife_bc`` computes  n g - (n-1) mean of leave-one-out g's, each
 leave-one-out estimate keeping the remaining units' original design weights
-(self-normalizing estimators renormalize on their own).  All n come from one
-row-wise estimator pass over the (n, n) matrix of design weights with its
-diagonal zeroed, under pi-based and RHC draws alike.
+(self-normalizing estimators renormalize on their own).  Each of the m n
+rows of a batch of m samples zeroes one unit's design weight, under pi-based
+and RHC draws alike, in passes of at most 2**14 weight entries whatever n is.
 """
 
 from __future__ import annotations
@@ -189,31 +189,35 @@ def _z(level: float) -> float:
 
 def jackknife_bc(
     sample: SampleDraw, pop: Population, f: Functional, kind: EstimatorKind
-) -> float:
+) -> float | np.ndarray:
     """Bias-corrected estimate  n g - (n-1) mean over i of g on the sample
-    without unit i.
+    without unit i: a float, or (m,) for a batch of m samples.
 
-    Row i of the weight matrix is the design weights with unit i's set to 0,
-    so one row-wise estimator pass gives all n leave-one-out estimates.
-    Exact for estimators linear in the per-unit terms; an undefined
-    leave-one-out estimate aborts with the offending unit (the first by
-    sample position).
+    Flat row r n + i is sample r's design weights with unit i's set to 0, so
+    row-wise estimator passes of a bounded number of rows give every
+    leave-one-out estimate.  Exact for estimators linear in the per-unit
+    terms; an undefined leave-one-out estimate aborts with the offending unit
+    (the first by sample position), its sample's ``row`` and ``before``.
     """
     n = sample.n
     if n < 3:
         raise ParameterError("jackknifing needs at least 3 sampled units")
-    full = plug_in(f, kind, sample, pop)
-    weights = np.where(np.eye(n, dtype=bool), 0.0, design_weights(sample, pop))
-    x_s = pop.x[sample.indices]
-    h = f.h(pop.y[sample.indices])
+    idx = np.atleast_2d(sample.indices)  # one sample is a batch of one
+    d = np.atleast_2d(design_weights(sample, pop))
+    x_s, h = pop.x[idx], f.h(pop.y[idx])
 
     def leave_out(lo, hi):
-        return f.g(estimate_mean_rows(kind, weights[lo:hi], x_s, pop.x_bar(), h))
+        r, i = np.divmod(np.arange(lo, hi), n)
+        w = np.where(np.arange(n) == i[:, None], 0.0, d[r])
+        return f.g(estimate_mean_rows(kind, w, x_s[r], pop.x_bar(), h[r]))
 
-    _, loo, failure = rows_that_evaluate(leave_out, n, stop_at_failure=True)
+    _, loo, failure = rows_that_evaluate(leave_out, idx.size, n, stop_at_failure=True)
+    m = len(idx) if failure is None else failure[0] // n  # the samples before a failure
+    head = sample if m + 1 >= len(idx) else sample[: m + 1]  # through sample m
+    full = np.atleast_1d(plug_in(f, kind, head, pop))  # an undefined one raises first
+    bc = n * full[:m] - (n - 1) * loo[: m * n].reshape(m, n).sum(axis=1) / n
     if failure is not None:
-        row, error = failure
-        unit = int(sample.indices[row])
-        message = f"leave-one-out estimate undefined without unit {unit}: {error}"
-        raise JackknifeFailureError(message, unit=unit) from error
-    return n * full - (n - 1) * float(loo.sum()) / n
+        unit = int(idx[m, failure[0] % n])
+        message = f"leave-one-out estimate undefined without unit {unit}: {failure[1]}"
+        raise JackknifeFailureError(message, unit=unit).at_row(m, bc) from failure[1]
+    return float(bc[0]) if sample.indices.ndim == 1 else bc

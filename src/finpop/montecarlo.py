@@ -10,9 +10,9 @@ the configuration, independent of execution order.
 For each sample size each design is drawn once, as one batch of R rows,
 row r being what ``draw`` (the one-row case) gives for replicate r's
 substream.  Each cell evaluates all R replicates in one row-wise pass: one
-``plug_in`` (one PEML solve), one ``variance_estimate`` and one
-``confidence_interval`` over the rows.  The jackknife still runs once per
-replicate.
+``plug_in``, one ``variance_estimate``, one ``confidence_interval`` and,
+when asked for, one ``jackknife_bc`` over the rows, each pass bounded in
+memory by ``errors.rows_that_evaluate``.
 
 Replicates where an estimate is undefined (infeasible calibration, undefined
 correlation, ...) are dropped from that cell's moments and counted as
@@ -29,7 +29,7 @@ import numpy as np
 
 from .designs import DesignKind, SampleDraw, _check_n, _draw_rows, inclusion_probabilities
 from .designs import draw  # noqa: F401 - the traced benchmark patches this name
-from .errors import FinpopError, ParameterError, rows_that_evaluate
+from .errors import ParameterError, rows_that_evaluate
 from .estimators import EstimatorKind, valid_pair
 from .functionals import _RATIO_SAFE, Functional, FunctionalKind, plug_in, population_value
 from .inference import (
@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise ParameterError("ci_level must lie strictly between 0 and 1")
         for n in self.sample_sizes:
             _check_n(self.population, n)
+        if self.jackknife and min(self.sample_sizes, default=3) < 3:
+            raise ParameterError("jackknife needs sample_sizes of at least 3")
         for cell in self.cells:
             if not valid_pair(cell.estimator, cell.design):
                 raise ParameterError(
@@ -241,13 +243,13 @@ def _cell_result(
     jackknife."""
     pop, f, kind, n = cfg.population, cell.functional, cell.estimator, batch.n
     ok, est, _ = rows_that_evaluate(
-        lambda lo, hi: plug_in(f, kind, batch[lo:hi], pop), cfg.replicates
+        lambda lo, hi: plug_in(f, kind, batch[lo:hi], pop), cfg.replicates, n
     )
+    rows = batch if ok.size in (0, cfg.replicates) else batch[ok]  # those with an estimate
     lengths, covered = np.empty(0), 0
-    if supports_variance_estimate(kind, cell.design) and ok.size:
-        rows = batch if ok.size == cfg.replicates else batch[ok]
+    if supports_variance_estimate(kind, cell.design):
         with_var, var, _ = rows_that_evaluate(
-            lambda lo, hi: variance_estimate(rows[lo:hi], pop, f, kind), ok.size
+            lambda lo, hi: variance_estimate(rows[lo:hi], pop, f, kind), ok.size, n
         )
         if with_var.size:
             ci = confidence_interval(est[with_var], var, n, cfg.ci_level)
@@ -267,15 +269,12 @@ def _cell_result(
         ci_sd_length=float(np.std(lengths, ddof=1)) if ci_count > 1 else nan,
     )
     if cfg.jackknife:
-        bc = []
-        for r in ok:
-            try:
-                bc.append(jackknife_bc(batch[r], pop, f, kind))
-            except FinpopError:
-                pass
-        result.bc_failures = cfg.replicates - len(bc)
-        result.bc_mean = float(np.mean(bc)) if bc else nan
-        result.bc_mse = empirical_mse(bc, truth) if bc else nan
+        _, bc, _ = rows_that_evaluate(
+            lambda lo, hi: jackknife_bc(rows[lo:hi], pop, f, kind), ok.size, n
+        )
+        result.bc_failures = cfg.replicates - bc.size
+        result.bc_mean = float(np.mean(bc)) if bc.size else nan
+        result.bc_mse = empirical_mse(bc, truth) if bc.size else nan
     return result
 
 

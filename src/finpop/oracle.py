@@ -60,7 +60,7 @@ def exact_moments(
     truth = population_value(f, pop)
     batch, probs = support.batch, support.probs
     evaluate = lambda lo, hi: plug_in(f, kind, batch[lo:hi], pop)  # noqa: E731
-    _, values, failure = rows_that_evaluate(evaluate, len(support), stop_at_failure=True)
+    _, values, failure = rows_that_evaluate(evaluate, len(support), n, stop_at_failure=True)
     if failure is not None:
         i, error = failure
         raise FinpopError(

@@ -208,6 +208,16 @@ class TestRun:
         assert "infeasible" in err
         assert not out_dir.exists()
 
+    def test_jackknife_below_three_units_exits_1(self, tmp_path, capsys):
+        cfg = self.make_config(tmp_path, sample_sizes=[2], jackknife=True)
+        out_dir = tmp_path / "jk"
+        code, _, err = run_cli(
+            capsys, "run", "--config", str(cfg), "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert "jackknife" in err and "sample_sizes" in err
+        assert not out_dir.exists()
+
     def test_unknown_config_field_exits_1(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path, bogus_field=1)
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))

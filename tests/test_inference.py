@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,16 +139,19 @@ class TestRegressionSlope:
             coef = np.linalg.lstsq(design, h[r] * sw, rcond=None)[0]
             np.testing.assert_allclose(got[r], coef[1], rtol=1e-9)
 
-    def test_shared_sample_rows_match_their_own_samples(self):
-        # the jackknife's shape: every row weights the one sample, a zero
-        # weight leaving a unit out, unit 0 included
+    def test_zero_weight_rows_match_the_samples_without_that_unit(self):
+        # the jackknife's shape: row i weights the sample with unit i's
+        # weight zeroed, unit 0 included
         rng = np.random.default_rng(6)
         x = rng.gamma(25.0, 4.0, size=7)
         h = rng.normal(size=(7, 2)) + x[:, None]
-        w = np.where(np.eye(7, dtype=bool), 0.0, rng.uniform(0.5, 2.0, size=7))
-        got = _wls_slope(w, x, h)
-        want = _wls_slope(w, np.tile(x, (7, 1)), np.tile(h, (7, 1, 1)))
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        d = rng.uniform(0.5, 2.0, size=7)
+        w = np.where(np.eye(7, dtype=bool), 0.0, d)
+        got = _wls_slope(w, np.tile(x, (7, 1)), np.tile(h, (7, 1, 1)))
+        for i in range(7):
+            keep = np.arange(7) != i
+            want = _wls_slope(d[None, keep], x[None, keep], h[None, keep])
+            np.testing.assert_allclose(got[i], want[0], rtol=1e-12)
 
     @pytest.mark.parametrize("design", [DesignKind.RAO_SAMPFORD, DesignKind.RHC])
     def test_only_equal_x_is_degenerate(self, design):
@@ -329,6 +334,49 @@ class TestJackknife:
         assert err.value.unit == 2
         assert loo_reference(s, pop, MEAN, EstimatorKind.PEML)[2] == 2
 
+    @pytest.mark.parametrize(
+        "design,kind",
+        [(d, k) for d in DesignKind for k in EstimatorKind if valid_pair(k, d)],
+        ids=str,
+    )
+    def test_batch_rows_match_one_sample_calls(self, design, kind, benchmark_pop):
+        # 12 samples of 75 units are 900 leave-one-out rows: several passes,
+        # which split samples between them
+        rng = np.random.default_rng(47)
+        draws = [draw(design, benchmark_pop, 75, rng) for _ in range(12)]
+        batch = stack(draws)
+        for f in (MEAN, VARIANCE):
+            want = [jackknife_bc(s, benchmark_pop, f, kind) for s in draws]
+            assert jackknife_bc(batch, benchmark_pop, f, kind).tolist() == want
+
+    def test_failing_sample_of_a_batch_is_named(self):
+        # x_bar = 128/7 lies inside every sample's hull, but sample 2 without
+        # unit 2 has no x above it: its PEML leave-one-out is infeasible
+        pop = Population(x=np.array([1.0, 2.0, 50.0, 40.0, 2.0, 3.0, 30.0]),
+                         y=np.arange(7.0))
+        units = ([0, 1, 2, 3], [4, 5, 3, 6], [0, 1, 4, 2], [1, 6, 2, 5])
+        draws = [srswor_sample(pop, u) for u in units]
+        with pytest.raises(JackknifeFailureError) as one:
+            jackknife_bc(draws[2], pop, MEAN, EstimatorKind.PEML)
+        with pytest.raises(JackknifeFailureError) as err:
+            jackknife_bc(stack(draws), pop, MEAN, EstimatorKind.PEML)
+        assert err.value.row == 2 and err.value.unit == one.value.unit == 2
+        # it holds the values of the samples before it, which need no second pass
+        want = [jackknife_bc(s, pop, MEAN, EstimatorKind.PEML) for s in draws[:2]]
+        assert err.value.before.tolist() == want
+
+    def test_memory_is_bounded_whatever_n(self, benchmark_pop):
+        # the whole (n, n) leave-one-out weight matrix alone would take 32 MB
+        s = draw(DesignKind.SRSWOR, benchmark_pop, 2000, np.random.default_rng(48))
+        tracemalloc.start()
+        try:
+            bc = jackknife_bc(s, benchmark_pop, MEAN, EstimatorKind.PEML)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(bc)
+        assert peak <= 32 * 2**20
+
 
 def loo_reference(sample, pop, f, kind):
     """The leave-one-out loop: per sample position, the mean vector and the
@@ -378,8 +426,9 @@ class TestClosedFormJackknife:
                     assert err.value.unit == failed_unit
                     continue
                 weights = np.where(np.eye(n, dtype=bool), 0.0, design_weights(s, pop))
+                x_s, h = pop.x[s.indices], f.h(pop.y[s.indices])
                 means = estimate_mean_rows(
-                    kind, weights, pop.x[s.indices], pop.x_bar(), f.h(pop.y[s.indices])
+                    kind, weights, np.tile(x_s, (n, 1)), pop.x_bar(), np.tile(h, (n, 1, 1))
                 )
                 np.testing.assert_allclose(means, ref_means, rtol=1e-12, atol=0)
                 # the variance s0 - s1^2 cancels, so it is held to 1e-12 of s0

@@ -258,6 +258,20 @@ class TestRunExperiment:
                 sample_sizes=(5,), replicates=10, seed=1,
             )
 
+    def test_jackknife_below_three_units_fails_validation(self):
+        # it would fail on every replicate; the config is refused before any
+        # replicate runs
+        cell = mean_cell(DesignKind.SRSWOR, EstimatorKind.HAJEK)
+        with pytest.raises(ParameterError, match="sample_sizes"):
+            ExperimentConfig(
+                population=small_pop(), cells=(cell,), sample_sizes=(5, 2),
+                replicates=10, seed=1, jackknife=True,
+            )
+        ExperimentConfig(
+            population=small_pop(), cells=(cell,), sample_sizes=(2,), replicates=10,
+            seed=1,
+        )
+
     def test_infeasible_rao_sampford_size_fails_validation(self):
         # n = 2 is feasible, but n = 3 puts n x_i / sum(x) >= 1 for the last
         # unit: the config is refused before any replicate runs

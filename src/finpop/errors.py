@@ -26,13 +26,13 @@ _PASS_ENTRIES = 2**14  # the most entries, rows times their width, one pass is g
 
 
 class FinpopError(Exception):
-    """Base class for all finpop errors; ``row`` is the first offending row of
-    a row-wise evaluation, ``before`` any values it has of the rows before."""
+    """Base class for all finpop errors; ``row`` is the position of the first
+    offending row of a row-wise evaluation."""
 
-    row, before = 0, None
+    row = 0
 
-    def at_row(self, row: int, before=None) -> "FinpopError":
-        self.row, self.before = row, before
+    def at_row(self, row: int) -> "FinpopError":
+        self.row = row
         return self
 
 
@@ -43,29 +43,25 @@ def rows_that_evaluate(evaluate, m: int, width: int = 1, *, stop_at_failure=Fals
     ``evaluate(lo, hi)`` returns the values of rows lo..hi-1 or raises a
     :class:`FinpopError` whose ``row`` is its first failing row, counted from
     lo; the rows before a failing row are evaluated again, since one of them
-    may fail a later check, unless the error holds their values as
-    ``before``.  A call is given at most ``max(1, _PASS_ENTRIES // width)``
-    rows of ``width`` entries, whatever m is.  Returns ``(kept, values,
-    failure)``: the positions of the rows that evaluate, their values, and
-    ``(row, error)`` for the first failing row, or None.  With
-    ``stop_at_failure`` nothing after the first failing row is evaluated;
-    otherwise its error carries no traceback, whose frames would hold their
-    arrays while later rows run.
+    may fail a later check.  A call is given at most
+    ``max(1, _PASS_ENTRIES // width)`` rows of ``width`` entries, whatever m
+    is.  Returns ``(kept, values, failure)``: the positions of the rows that
+    evaluate, their values, and ``(row, error)`` for the first failing row, or
+    None.  With ``stop_at_failure`` nothing after the first failing row is
+    evaluated; otherwise its error carries no traceback, whose frames would
+    hold their arrays while later rows run.
     """
-    step = max(1, _PASS_ENTRIES // width)
     kept, values, failure, lo = [], [], None, 0
     while lo < m and not (failure and stop_at_failure):
-        hi, error = min(m, lo + step), None
+        hi, error = min(m, lo + max(1, _PASS_ENTRIES // width)), None
         while hi > lo:
             try:
                 values.append(evaluate(lo, hi))
             except FinpopError as exc:
                 hi, error = lo + exc.row, exc
-                if exc.before is None:
-                    continue
-                values.append(exc.before)
-            kept.append(np.arange(lo, hi))
-            break
+            else:
+                kept.append(np.arange(lo, hi))
+                break
         if error is not None and failure is None:
             failure = (hi, error if stop_at_failure else error.with_traceback(None))
         lo = hi + (error is not None)  # a failing row is left out

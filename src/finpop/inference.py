@@ -22,9 +22,9 @@ estimate or interval per row; one sample is their batch of one.
 
 ``jackknife_bc`` computes  n g - (n-1) mean of leave-one-out g's, each
 leave-one-out estimate keeping the remaining units' original design weights
-(self-normalizing estimators renormalize on their own).  Each of the m n
-rows of a batch of m samples zeroes one unit's design weight, under pi-based
-and RHC draws alike, in passes of at most 2**14 weight entries whatever n is.
+(self-normalizing estimators renormalize on their own).  Row r n + i zeroes
+unit i of sample r, pi-based or RHC; a pass holds at most 2**14 weight entries
+(one row if n > 2**14), but the full-sample plug-in takes the whole batch.
 """
 
 from __future__ import annotations
@@ -197,11 +197,12 @@ def jackknife_bc(
     row-wise estimator passes of a bounded number of rows give every
     leave-one-out estimate.  Exact for estimators linear in the per-unit
     terms; an undefined leave-one-out estimate aborts with the offending unit
-    (the first by sample position), its sample's ``row`` and ``before``.
+    (the first by sample position) and its sample's ``row``.
     """
     n = sample.n
     if n < 3:
         raise ParameterError("jackknifing needs at least 3 sampled units")
+    full = plug_in(f, kind, sample, pop)
     idx = np.atleast_2d(sample.indices)  # one sample is a batch of one
     d = np.atleast_2d(design_weights(sample, pop))
     x_s, h = pop.x[idx], f.h(pop.y[idx])
@@ -212,12 +213,10 @@ def jackknife_bc(
         return f.g(estimate_mean_rows(kind, w, x_s[r], pop.x_bar(), h[r]))
 
     _, loo, failure = rows_that_evaluate(leave_out, idx.size, n, stop_at_failure=True)
-    m = len(idx) if failure is None else failure[0] // n  # the samples before a failure
-    head = sample if m + 1 >= len(idx) else sample[: m + 1]  # through sample m
-    full = np.atleast_1d(plug_in(f, kind, head, pop))  # an undefined one raises first
-    bc = n * full[:m] - (n - 1) * loo[: m * n].reshape(m, n).sum(axis=1) / n
     if failure is not None:
-        unit = int(idx[m, failure[0] % n])
-        message = f"leave-one-out estimate undefined without unit {unit}: {failure[1]}"
-        raise JackknifeFailureError(message, unit=unit).at_row(m, bc) from failure[1]
+        row, error = failure
+        unit = int(idx.flat[row])
+        message = f"leave-one-out estimate undefined without unit {unit}: {error}"
+        raise JackknifeFailureError(message, unit=unit).at_row(row // n) from error
+    bc = n * full - (n - 1) * loo.reshape(-1, n).sum(axis=1) / n
     return float(bc[0]) if sample.indices.ndim == 1 else bc

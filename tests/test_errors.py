@@ -4,18 +4,16 @@ import pytest
 from finpop.errors import _PASS_ENTRIES, DegenerateError, rows_that_evaluate
 
 
-def failing_at(bad, m, before=False):
+def failing_at(bad, m):
     """A row-wise evaluation of rows 0..m-1 whose rows in ``bad`` fail; it
-    records each (lo, hi) it is called with.  With ``before`` an error holds
-    the values of the rows before it."""
+    records each (lo, hi) it is called with."""
     calls = []
 
     def evaluate(lo, hi):
         calls.append((lo, hi))
         hit = [r for r in range(lo, hi) if r in bad]
         if hit:
-            done = np.arange(lo, hit[0]) * 10.0 if before else None
-            raise DegenerateError(f"row {hit[0]}").at_row(hit[0] - lo, done)
+            raise DegenerateError(f"row {hit[0]}").at_row(hit[0] - lo)
         return np.arange(lo, hi) * 10.0
 
     return evaluate, calls
@@ -47,29 +45,19 @@ def test_stop_at_failure_evaluates_nothing_past_the_first_failing_row():
     assert failure[0] == 2 and failure[1].__traceback__ is not None
 
 
-def test_values_held_by_the_error_are_not_evaluated_again():
-    evaluate, calls = failing_at({2, 5}, 9, before=True)
-    kept, values, failure = rows_that_evaluate(evaluate, 9)
-    assert calls == [(0, 9), (3, 9), (6, 9)]
-    np.testing.assert_array_equal(kept, [0, 1, 3, 4, 6, 7, 8])
-    np.testing.assert_array_equal(values, kept * 10.0)
-    assert failure[0] == 2
-
-
 def test_no_rows():
     kept, values, failure = rows_that_evaluate(failing_at(set(), 0)[0], 0)
     assert kept.size == values.size == 0 and failure is None
 
 
-@pytest.mark.parametrize("before", [False, True])
 @pytest.mark.parametrize("stop_at_failure", [False, True])
 @pytest.mark.parametrize(
     "bad,m", [({2, 5, 6}, 9), (set(), 4), ({2, 5}, 9), ({0, 1, 8}, 9), (set(), 0)]
 )
-def test_bounded_passes_walk_as_one_pass(bad, m, stop_at_failure, before):
+def test_bounded_passes_walk_as_one_pass(bad, m, stop_at_failure):
     whole = rows_that_evaluate(failing_at(bad, m)[0], m, stop_at_failure=stop_at_failure)
     for width in (_PASS_ENTRIES // 4, _PASS_ENTRIES // 3, _PASS_ENTRIES, 3 * _PASS_ENTRIES):
-        evaluate, calls = failing_at(bad, m, before)
+        evaluate, calls = failing_at(bad, m)
         kept, values, failure = rows_that_evaluate(
             evaluate, m, width, stop_at_failure=stop_at_failure
         )

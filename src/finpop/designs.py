@@ -15,9 +15,9 @@ computes what depends only on (population, n) once; a row is what a single
 draw from its generator gives, and ``draw`` is the one-row batch.
 Rao-Sampford draws are exact: thinned conditional Poisson samples, drawn in
 n vector steps from elementary-symmetric tables built once per
-(population, n), all rows of a batch together.  The library builds its
-draws, batches and supports from valid parts and skips the checks a
-user-built ``SampleDraw`` goes through.
+(population, n), whole up to 2**21 entries, all rows of a batch together.
+The library builds its draws, batches and supports from valid parts and
+skips the checks a user-built ``SampleDraw`` goes through.
 
 Conventions:
   * unit indices are 0-based positions into the population arrays;
@@ -230,13 +230,13 @@ def rhc_group_sizes(N: int, n: int) -> np.ndarray:
 # tables; replacing the entry is one tuple store.
 _NO_RS_TABLES = (lambda: None, 0, None)
 _rs_memo: tuple = _NO_RS_TABLES
-# A batch keeps every isqrt(n)-th column and rebuilds the others once a pass
-# for all its rows; a single draw shares that rebuild with no other row, so
-# it keeps every column of a table of at most this many entries (16 MB).
+# The tables of one (population, n) keep every column when they hold at most
+# this many entries (16 MB); larger ones keep every isqrt(n)-th column and
+# rebuild the others once a pass, for all rows of the batch.
 _FULL_TABLE = 2**21
 _UNSCALED = (2.0**-500, 2.0**500)  # a column whose top lies here is not scaled
-# Attempts per pending row and pass: a pass costs n steps however few rows
-# are left, and at the thinning acceptance of skewed sizes, 0.92, 24 rows
+# Attempts per pending row and pass: a pass costs n table steps however few
+# rows are left; at the thinning acceptance of skewed sizes, 0.92, 24 rows
 # take 2.0 passes with one attempt and 1.15 with two (same stream chunks).
 _ATTEMPTS = 2
 
@@ -269,17 +269,17 @@ class _SampfordTables:
     A CPS draw steps through the columns from m = n down to 1: with the last
     ``lim`` units free, it picks unit N - a for a = ``searchsorted(col_m,
     u * col_m[lim], side="right")``, in [m, lim] for every u in [0, 1).
-    Unless ``c`` is 1, only column n and every c-th column are kept; the steps
-    rebuild the others a block of up to c columns at a time, over the prefix
-    the rows can still reach.
+    Tables of more than ``_FULL_TABLE`` entries keep only column n and every
+    c-th, c = isqrt(n) (else c = 1); the steps rebuild the others a block of
+    up to c columns at a time, over the prefix the rows can still reach.
     """
 
-    def __init__(self, pop: Population, n: int, c: int):
+    def __init__(self, pop: Population, n: int):
         pi = _pps_probs(pop, n)
         pi.setflags(write=False)
         self.pi, self.one_minus, self.n = pi, 1.0 - pi, n
         self.rr = (pi / self.one_minus)[::-1].copy()
-        self.c = c
+        self.c = c = 1 if (n + 1) * (len(pi) + 1) <= _FULL_TABLE else isqrt(n)
         self.scales = np.ones(n + 1)
         col = np.ones(len(pi) + 1)
         self.kept = {0: col}
@@ -320,10 +320,9 @@ def _rao_sampford_rows(pop: Population, n: int, rngs) -> SampleDraw:
     accepted attempt."""
     global _rs_memo
     ref, memo_n, tables = _rs_memo
-    c = 1 if len(rngs) == 1 and (n + 1) * (pop.n_units + 1) <= _FULL_TABLE else isqrt(n)
-    if ref() is not pop or memo_n != n or tables.c > c:
-        _rs_memo = _NO_RS_TABLES  # free the old tables before building new ones
-        tables = _SampfordTables(pop, n, c)
+    if ref() is not pop or memo_n != n:
+        _rs_memo, tables = _NO_RS_TABLES, None  # free the old tables before building new ones
+        tables = _SampfordTables(pop, n)
         _rs_memo = weakref.ref(pop), n, tables
     idx = np.empty((len(rngs), n), np.intp)
     pending = np.arange(len(rngs))

@@ -3,7 +3,8 @@ lengths and coverage for a grid of (design, estimator, functional) cells.
 
 Every replicate draws one sample per design present in the grid, from a
 dedicated random substream derived by mixing (seed, sample size, design id,
-replicate index) through ``numpy.random.SeedSequence``; all cells sharing a
+replicate index) through ``numpy.random.SeedSequence``, whose arithmetic a
+run repeats for all its substreams in one vector pass; all cells sharing a
 design evaluate the identical draw.  Reports are therefore pure functions of
 the configuration, independent of execution order.
 
@@ -234,6 +235,53 @@ def _replicate_rng(seed: int, n: int, design: DesignKind, replicate: int):
     return np.random.Generator(np.random.PCG64(ss))
 
 
+# the successive hash constants of numpy's SeedSequence (bit_generator.pyx):
+# 16 hashes mix four entropy words into its pool, 8 more give its output
+_HASH_MIX, _HASH_OUT = (
+    np.array([a * pow(m, k, 2**32) % 2**32 for k in range(count + 1)], np.uint32)[:, None]
+    for a, m, count in ((0x43B0D7E5, 0x931E8875, 16), (0x8B51F9DD, 0x58F38DED, 8))
+)
+
+
+def _hash(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of row k of ``v`` by hash constants k and k + 1."""
+    v = (v ^ consts[:-1]) * consts[1:]
+    return v ^ (v >> 16)
+
+
+class _State(np.random.bit_generator.ISeedSequence):
+    """Hands ``PCG64`` the four uint64 seed words it asks for, computed beforehand."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _replicate_states(seed: int, sizes, designs, R: int) -> np.ndarray:
+    """The (S, D, R, 4) PCG64 seeds of ``_replicate_rng`` for every (n, design,
+    r) of a run; while every value fits in one uint32 word, one vector pass
+    repeats the uint32 arithmetic of ``SeedSequence``'s ``generate_state``."""
+    ids = [_DESIGN_ID[d] for d in designs]
+    if max(seed, *sizes, R - 1) >= 2**32:  # a value spans several words
+        keys = [(seed, n, d, r) for n in sizes for d in ids for r in range(R)]
+        states = [np.random.SeedSequence(k).generate_state(4, np.uint64) for k in keys]
+        return np.array(states, np.uint64).reshape(len(sizes), len(ids), R, 4)
+    words = np.empty((4, len(sizes), len(ids), R), np.uint32)
+    words[0], words[1], words[2], words[3] = (
+        seed, np.reshape(sizes, (-1, 1, 1)), np.reshape(ids, (-1, 1)), np.arange(R))
+    pool = _hash(words.reshape(4, -1), _HASH_MIX[:5])
+    for src in range(4):  # SeedSequence's mix of each word into the three others
+        dst = [k for k in range(4) if k != src]
+        h = _hash(pool[src], _HASH_MIX[4 + 3 * src : 8 + 3 * src])
+        m = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * h
+        pool[dst] = m ^ (m >> 16)
+    out = _hash(np.tile(pool, (2, 1)), _HASH_OUT)  # 8 uint32 words, little-endian pairs
+    out = np.ascontiguousarray(out.T, "<u4").view("<u8").astype(np.uint64)
+    return out.reshape(*words.shape[1:], 4)
+
+
 def _cell_result(
     cfg: ExperimentConfig, cell: Cell, truth: float, batch: SampleDraw
 ) -> CellResult:
@@ -292,13 +340,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         pairs = [(cfg.baseline, j) for j in range(len(cfg.cells)) if j != cfg.baseline]
     report = ExperimentReport(seed=cfg.seed, replicates=cfg.replicates)
 
-    for n in cfg.sample_sizes:
+    states = _replicate_states(cfg.seed, cfg.sample_sizes, designs_needed, cfg.replicates)
+    for n, states_n in zip(cfg.sample_sizes, states):
         batches = {
             design: _draw_rows(
-                design, pop, n,
-                [_replicate_rng(cfg.seed, n, design, r) for r in range(cfg.replicates)],
+                design, pop, n, [np.random.Generator(np.random.PCG64(_State(s))) for s in rows]
             )
-            for design in designs_needed
+            for design, rows in zip(designs_needed, states_n)
         }
         results = [
             _cell_result(cfg, cell, truth, batches[cell.design])

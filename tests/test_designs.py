@@ -575,45 +575,62 @@ def _memo_c():
     return designs._rs_memo[2].c
 
 
+def _table_rules(monkeypatch):
+    """Yield each table rule in turn, with the memo emptied: the default,
+    under which a table of up to 2**21 entries keeps every column, and 0,
+    under which every table keeps every isqrt(n)-th column and the steps
+    rebuild the others."""
+    for full_table in (designs._FULL_TABLE, 0):
+        monkeypatch.setattr(designs, "_FULL_TABLE", full_table)
+        monkeypatch.setattr(designs, "_rs_memo", designs._NO_RS_TABLES)
+        yield full_table
+
+
 class TestRaoSampfordSampler:
     """Exact draws: conditional Poisson samples thinned to Sampford's P(s),
     all rows of a batch together, row r depending on its generator alone."""
 
     @pytest.mark.parametrize("N, n", [(6, 3), (8, 3), (10, 4), (12, 5)])
-    def test_subset_frequencies_match_exact(self, N, n):
-        # 40 000 rows against Sampford's enumerated P(s), subset by subset;
-        # a batch keeps every isqrt(n)-th column: all of them at n = 3, and
-        # it rebuilds blocks of c = 2 at n = 4 and 5
+    def test_subset_frequencies_match_exact(self, N, n, monkeypatch):
+        # 40 000 rows against Sampford's enumerated P(s), subset by subset,
+        # under each table rule: whole tables, and every isqrt(n)-th column,
+        # which is all of them at n = 3 and blocks of c = 2 at n = 4 and 5
         pop = Population(x=np.random.default_rng(N * 10 + n).uniform(1.0, 4.0, N), y=np.zeros(N))
         support = enumerate_design(DesignKind.RAO_SAMPFORD, pop, n)
         m = 40_000
-        batch = designs._rao_sampford_rows(pop, n, [np.random.default_rng(n)] * m)
-        assert _memo_c() == isqrt(n)
-        observed = _subset_counts(batch.indices, support)
-        assert observed.sum() == m
-        assert stats.chisquare(observed, m * support.probs).pvalue > 1e-3
+        for full_table in _table_rules(monkeypatch):
+            batch = designs._rao_sampford_rows(pop, n, [np.random.default_rng(n)] * m)
+            assert _memo_c() == (1 if full_table else isqrt(n))
+            observed = _subset_counts(batch.indices, support)
+            assert observed.sum() == m
+            assert stats.chisquare(observed, m * support.probs).pvalue > 1e-3
 
     @pytest.mark.parametrize("name, n", [("criterion_3", 3), ("skewed", 125), ("skewed", 30)])
-    def test_batch_rows_are_single_draws(self, name, n):
+    def test_batch_rows_are_single_draws(self, name, n, monkeypatch):
         # bit for bit, and each generator left where the single draw leaves
-        # it, under the whole batch, a shuffled one and a sub-sample; the
-        # batch rebuilds all but every isqrt(n)-th column, which single draws
-        # keep, and cumsum prefixes do not depend on their length
+        # it, under the whole batch, a shuffled one and a sub-sample, and
+        # under each table rule; the steps rebuild all but every isqrt(n)-th
+        # column of checkpointed tables, and cumsum prefixes do not depend
+        # on their length, so the rows are those of whole tables too
         pop = _criterion_3_population() if name == "criterion_3" else _skewed_population()
         m = 40
-        batch = designs._rao_sampford_rows(pop, n, _rngs(5, m))
-        assert _memo_c() == isqrt(n)
-        order = np.random.default_rng(0).permutation(m)
-        for rows in (order, order[:7], order[-1:]):
-            rngs = _rngs(5, m)
-            sub = designs._rao_sampford_rows(pop, n, [rngs[r] for r in rows])
-            np.testing.assert_array_equal(sub.indices, batch.indices[rows])
-            np.testing.assert_array_equal(sub.pi, batch.pi[rows])
-            twins = _rngs(5, m)
-            for k, r in enumerate(rows):
-                single = draw(DesignKind.RAO_SAMPFORD, pop, n, twins[r])
-                np.testing.assert_array_equal(single.indices, sub.indices[k])
-                assert rngs[r].random() == twins[r].random()
+        whole = None
+        for full_table in _table_rules(monkeypatch):
+            batch = designs._rao_sampford_rows(pop, n, _rngs(5, m))
+            assert _memo_c() == (1 if full_table else isqrt(n))
+            whole = batch.indices if whole is None else whole
+            np.testing.assert_array_equal(batch.indices, whole)
+            order = np.random.default_rng(0).permutation(m)
+            for rows in (order, order[:7], order[-1:]):
+                rngs = _rngs(5, m)
+                sub = designs._rao_sampford_rows(pop, n, [rngs[r] for r in rows])
+                np.testing.assert_array_equal(sub.indices, batch.indices[rows])
+                np.testing.assert_array_equal(sub.pi, batch.pi[rows])
+                twins = _rngs(5, m)
+                for k, r in enumerate(rows):
+                    single = draw(DesignKind.RAO_SAMPFORD, pop, n, twins[r])
+                    np.testing.assert_array_equal(single.indices, sub.indices[k])
+                    assert rngs[r].random() == twins[r].random()
 
     @pytest.mark.parametrize("attempts", [1, 3])
     def test_attempts_per_pass_change_no_sample(self, attempts, monkeypatch):
@@ -642,20 +659,21 @@ class TestRaoSampfordSampler:
         single = draw(DesignKind.RAO_SAMPFORD, benchmark_pop, n, _rngs(7, 30)[29])
         np.testing.assert_array_equal(single.indices, batch.indices[29])
 
-    def test_inclusion_probabilities_up_to_095(self):
+    def test_inclusion_probabilities_up_to_095(self, monkeypatch):
         N, n = 40, 20
         x = np.r_[np.full(4, 0.95), np.full(N - 4, (n - 4 * 0.95) / (N - 4))]
         pop = Population(x=x, y=x)
         pi = inclusion_probabilities(DesignKind.RAO_SAMPFORD, pop, n)
         assert pi.max() == pytest.approx(0.95)
         m = 20_000
-        batch = designs._rao_sampford_rows(pop, n, [np.random.default_rng(9)] * m)
-        assert _memo_c() == 4
-        idx = batch.indices
-        assert (idx >= 0).all() and (idx < N).all()
-        assert (np.diff(idx, axis=1) > 0).all()
-        z = (np.bincount(idx.ravel(), minlength=N) / m - pi) / np.sqrt(pi * (1 - pi) / m)
-        assert np.abs(z).max() < 4.5
+        for full_table in _table_rules(monkeypatch):
+            batch = designs._rao_sampford_rows(pop, n, [np.random.default_rng(9)] * m)
+            assert _memo_c() == (1 if full_table else 4)
+            idx = batch.indices
+            assert (idx >= 0).all() and (idx < N).all()
+            assert (np.diff(idx, axis=1) > 0).all()
+            z = (np.bincount(idx.ravel(), minlength=N) / m - pi) / np.sqrt(pi * (1 - pi) / m)
+            assert np.abs(z).max() < 4.5
 
     @pytest.mark.parametrize("full_table", [designs._FULL_TABLE, 0])
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
@@ -694,17 +712,35 @@ class TestRaoSampfordMemo:
             rows = designs._rao_sampford_rows(fresh, n, _rngs(k, 10)).indices
             np.testing.assert_array_equal(np.array(alternating[k]), rows)
 
-    def test_single_draws_keep_every_column_of_larger_tables(self):
-        # a batch keeps every isqrt(n)-th column of a 630k-entry table, a
-        # single draw all of them, and a later batch uses those
+    def test_single_draws_keep_every_column_of_larger_tables(self, monkeypatch):
+        # single draws and batches keep the same columns of a 630k-entry
+        # table, all of them by default and every isqrt(n)-th one under the
+        # checkpointed rule, and share one table of a (population, n)
         pop = _skewed_population()
-        designs._rao_sampford_rows(pop, 125, _rngs(1, 4))
-        assert _memo_c() == isqrt(125)
-        draw(DesignKind.RAO_SAMPFORD, pop, 125, np.random.default_rng(1))
-        assert _memo_c() == 1
-        tables = designs._rs_memo[2]
-        designs._rao_sampford_rows(pop, 125, _rngs(1, 4))
-        assert designs._rs_memo[2] is tables
+        for full_table in _table_rules(monkeypatch):
+            designs._rao_sampford_rows(pop, 125, _rngs(1, 4))
+            assert _memo_c() == (1 if full_table else isqrt(125))
+            tables = designs._rs_memo[2]
+            draw(DesignKind.RAO_SAMPFORD, pop, 125, np.random.default_rng(1))
+            designs._rao_sampford_rows(pop, 125, _rngs(1, 4))
+            assert designs._rs_memo[2] is tables
+
+    def test_old_tables_are_freed_before_new_ones_are_built(self, monkeypatch):
+        # at most one (population, n) is held while the next one builds
+        a, b = _criterion_3_population(), _skewed_population()
+        alive = []
+        build = designs._SampfordTables.__init__
+
+        def watched(self, *args):
+            alive.append(None if old is None else old())
+            build(self, *args)
+
+        monkeypatch.setattr(designs._SampfordTables, "__init__", watched)
+        old = None
+        for pop, n in ((a, 3), (a, 4), (b, 125), (a, 3)):
+            designs._rao_sampford_rows(pop, n, _rngs(2, 3))
+            old = weakref.ref(designs._rs_memo[2])
+        assert alive == [None] * 4
 
     def test_keeps_no_population_alive(self):
         pop = Population(x=np.arange(1.0, 11.0), y=np.zeros(10))

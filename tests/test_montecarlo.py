@@ -27,7 +27,8 @@ from finpop import (
 )
 from finpop.designs import draw
 from finpop.inference import supports_variance_estimate, variance_estimate
-from finpop.montecarlo import _replicate_rng
+from finpop import designs
+from finpop.montecarlo import _replicate_rng, _replicate_states, _State
 
 
 def small_pop():
@@ -82,7 +83,56 @@ def test_replicate_rng_is_the_default_rng_stream(seed, n, design, r):
     np.testing.assert_array_equal(a.indices, b.indices)
 
 
+def test_batched_seeding_is_the_seed_sequence_stream():
+    # a few hundred random (seed, n, design, r), R = 1 among them, and words
+    # of 2**32 or more, which SeedSequence spreads over several uint32 words
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for k in range(60):
+        bound = 2**40 if k % 4 == 0 else 2**32  # every fourth case falls back
+        seed = int(rng.integers(0, bound))
+        sizes = [int(v) for v in rng.integers(2, bound, size=rng.integers(1, 3))]
+        kinds = list(rng.permutation(list(DesignKind))[: rng.integers(1, 5)])
+        R = 1 if k % 3 == 0 else int(rng.integers(2, 6))
+        states = _replicate_states(seed, sizes, kinds, R)
+        assert states.shape == (len(sizes), len(kinds), R, 4)
+        for i, n in enumerate(sizes):
+            for j, design in enumerate(kinds):
+                for r in range(R):
+                    batched = np.random.Generator(np.random.PCG64(_State(states[i, j, r])))
+                    reference = _replicate_rng(seed, n, design, r)
+                    assert batched.bit_generator.state == reference.bit_generator.state
+                    np.testing.assert_array_equal(batched.random(8), reference.random(8))
+                    np.testing.assert_array_equal(
+                        batched.permutation(50), reference.permutation(50)
+                    )
+                    checked += 1
+    assert checked >= 300
+    # either side of the word boundary, and a seed of three words
+    for seed, n in ((2**32 - 1, 2**32 - 1), (2**32, 5), (3, 2**32), (2**64 + 7, 9)):
+        state = _replicate_states(seed, [n], [DesignKind.RHC], 2)[0, 0, 1]
+        reference = _replicate_rng(seed, n, DesignKind.RHC, 1)
+        assert np.random.PCG64(_State(state)).state == reference.bit_generator.state
+
+
 class TestRunExperiment:
+    def test_reports_do_not_depend_on_the_sampford_memo(self, monkeypatch):
+        # cold, and warm from another population or another n
+        pop, other = small_pop(), Population(x=np.arange(1.0, 41.0), y=np.zeros(40))
+        cells = (
+            mean_cell(DesignKind.RAO_SAMPFORD, EstimatorKind.HT),
+            mean_cell(DesignKind.RAO_SAMPFORD, EstimatorKind.HAJEK),
+            mean_cell(DesignKind.SRSWOR, EstimatorKind.HT),
+        )
+        cfg = ExperimentConfig(
+            population=pop, cells=cells, sample_sizes=(4, 7), replicates=25, seed=31,
+        )
+        monkeypatch.setattr(designs, "_rs_memo", designs._NO_RS_TABLES)
+        cold = repr(run_experiment(cfg))
+        for warm_pop, warm_n in ((other, 4), (other, 7), (pop, 5), (pop, 7)):
+            draw(DesignKind.RAO_SAMPFORD, warm_pop, warm_n, np.random.default_rng(1))
+            assert repr(run_experiment(cfg)) == cold
+
     def test_single_replicate_is_single_squared_error(self):
         pop = small_pop()
         cell = mean_cell(DesignKind.SRSWOR, EstimatorKind.HT)

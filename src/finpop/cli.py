@@ -219,12 +219,12 @@ def _parse_config(path: str) -> ExperimentConfig:
         return ExperimentConfig(
             population=_config_population(doc["population"]),
             cells=cells,
-            sample_sizes=tuple(int(v) for v in doc["sample_sizes"]),
-            replicates=int(doc["replicates"]),
-            seed=int(doc["seed"]),
+            sample_sizes=doc["sample_sizes"],
+            replicates=doc["replicates"],
+            seed=doc["seed"],
             ci_level=float(doc.get("ci_level", 0.95)),
-            jackknife=bool(doc.get("jackknife", False)),
-            baseline=None if baseline is None else int(baseline),
+            jackknife=doc.get("jackknife", False),
+            baseline=baseline,
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, _USAGE_ERRORS):

@@ -96,15 +96,13 @@ class SampleDraw:
         if idx.ndim not in (1, 2) or idx.size == 0:
             raise ParameterError("indices must be a nonempty (n,) or (m, n) array")
         if idx.min() < 0:
-            raise ParameterError("unit indices must be nonnegative").at_row(
-                int(np.argmax((idx < 0).any(axis=-1)))
+            raise ParameterError("unit indices must be nonnegative").at_rows(
+                (idx < 0).any(axis=-1)
             )
         ordered = np.sort(idx, axis=-1)
         distinct = (ordered[..., 1:] != ordered[..., :-1]).all(axis=-1)
         if not distinct.all():
-            raise ParameterError("sample indices must be distinct").at_row(
-                int(np.argmin(distinct))
-            )
+            raise ParameterError("sample indices must be distinct").at_rows(~distinct)
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         if self.design.is_pi_based:

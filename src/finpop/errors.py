@@ -2,9 +2,9 @@
 
 Everything raised on purpose derives from :class:`FinpopError` so callers can
 catch library failures without swallowing programming errors.  A row-wise
-evaluation (one row per sample or per leave-one-out sample) names its first
-failing row, and ``rows_that_evaluate`` walks such an evaluation past its
-failures, in passes of a bounded number of entries.
+evaluation (one row per sample or per leave-one-out sample) names all of its
+failing rows, and ``rows_that_evaluate`` walks such an evaluation past them,
+in passes of a bounded number of entries.
 """
 
 import numpy as np
@@ -26,45 +26,46 @@ _PASS_ENTRIES = 2**14  # the most entries, rows times their width, one pass is g
 
 
 class FinpopError(Exception):
-    """Base class for all finpop errors; ``row`` is the position of the first
-    offending row of a row-wise evaluation."""
+    """Base class for all finpop errors; ``rows`` are the positions of the
+    offending rows of a row-wise evaluation, and ``row`` is the first."""
 
-    row = 0
+    row, rows = 0, np.zeros(1, dtype=np.intp)
 
-    def at_row(self, row: int) -> "FinpopError":
-        self.row = row
+    def at_rows(self, mask: np.ndarray) -> "FinpopError":
+        self.rows = np.flatnonzero(mask)
+        self.row = int(self.rows[0])
         return self
 
 
-def rows_that_evaluate(evaluate, m: int, width: int = 1, *, stop_at_failure=False):
+def rows_that_evaluate(evaluate, m: int, width: int = 1):
     """Evaluate rows 0..m-1 of a row-wise computation, leaving out the rows
     that fail.
 
-    ``evaluate(lo, hi)`` returns the values of rows lo..hi-1 or raises a
-    :class:`FinpopError` whose ``row`` is its first failing row, counted from
-    lo; the rows before a failing row are evaluated again, since one of them
-    may fail a later check.  A call is given at most
+    ``evaluate(rows)`` returns the values of the rows that ``rows`` selects
+    or raises a :class:`FinpopError` whose ``rows`` are its failing rows,
+    counted within the selection.  A pass covers at most
     ``max(1, _PASS_ENTRIES // width)`` rows of ``width`` entries, whatever m
-    is.  Returns ``(kept, values, failure)``: the positions of the rows that
-    evaluate, their values, and ``(row, error)`` for the first failing row, or
-    None.  With ``stop_at_failure`` nothing after the first failing row is
-    evaluated; otherwise its error carries no traceback, whose frames would
-    hold their arrays while later rows run.
+    is; its first call gets a slice, and after a failure the rest of the
+    pass is evaluated again as an index array, since one of its rows may
+    fail a later check.  Returns ``(kept, values, failure)``: the positions
+    of the rows that evaluate, their values, and ``(row, error)`` for the
+    lowest failing row, or None; the error carries no traceback, whose frames
+    would hold their arrays while later rows run.
     """
-    kept, values, failure, lo = [], [], None, 0
-    while lo < m and not (failure and stop_at_failure):
-        hi, error = min(m, lo + max(1, _PASS_ENTRIES // width)), None
-        while hi > lo:
+    kept, values, failure, step = [], [], None, max(1, _PASS_ENTRIES // width)
+    for lo in range(0, m, step):
+        rows = np.arange(lo, min(m, lo + step))
+        select = slice(lo, lo + rows.size)
+        while rows.size:
             try:
-                values.append(evaluate(lo, hi))
+                values.append(evaluate(select))
             except FinpopError as exc:
-                hi, error = lo + exc.row, exc
+                if failure is None or rows[exc.row] < failure[0]:
+                    failure = (int(rows[exc.row]), exc.with_traceback(None))
+                rows = select = np.delete(rows, exc.rows)
             else:
-                kept.append(np.arange(lo, hi))
+                kept.append(rows)
                 break
-        if error is not None and failure is None:
-            failure = (hi, error if stop_at_failure else error.with_traceback(None))
-        lo = hi + (error is not None)  # a failing row is left out
     if len(values) == 1:  # one run of rows: its values need no copy
         return kept[0], values[0], failure
     kept, values = [np.empty(0, dtype=int), *kept], [np.empty(0), *values]

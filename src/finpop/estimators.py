@@ -81,19 +81,16 @@ def design_weights(sample: SampleDraw, pop: Population) -> np.ndarray:
     return sample.g_totals / (N * pop.x[sample.indices])
 
 
-def peml_weights(
-    d: np.ndarray,
-    x_sample: np.ndarray,
-    x_bar: float,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> np.ndarray:
+_TOL = 1e-12  # |psi| at which a PEML row has converged, relative to its largest |u|
+_MAX_ITER = 200  # the most safeguarded Newton steps a PEML solve takes
+
+
+def peml_weights(d: np.ndarray, x_sample: np.ndarray, x_bar: float) -> np.ndarray:
     """Maximize sum d_i log c_i subject to sum c = 1 and sum c (x - x_bar) = 0.
 
     ``d`` is (n,) or (m, n), and so are the weights c returned: each row is
     its own problem over the units it weights positively (c is 0 where d is),
-    and an error names its first failing row as ``row``.  ``x_sample`` is
+    and an error names its failing rows as ``rows``.  ``x_sample`` is
     (n,), shared by the rows, or (m, n), one sample per row.  A row reduces to a
     one-dimensional dual root:
     c_i = d~_i / (1 + lam u_i) with u_i = x_i - x_bar and lam the unique zero
@@ -110,13 +107,11 @@ def peml_weights(
         raise ParameterError("weights and sample x values must align")
     valid = (np.isfinite(w) & (w >= 0)).all(axis=1)
     if not valid.all():
-        raise ParameterError("weights must be nonnegative and finite").at_row(
-            int(valid.argmin())
-        )
+        raise ParameterError("weights must be nonnegative and finite").at_rows(~valid)
     inside = w > 0
     few = inside.sum(axis=1) < 2
     if few.any():
-        raise ParameterError("need at least two sampled units").at_row(int(few.argmax()))
+        raise ParameterError("need at least two sampled units").at_rows(few)
     dt = w / w.sum(axis=1, keepdims=True)
     # u is 0 outside a row's units, so they add nothing to its sums
     u = np.where(inside, x_sample - x_bar, 0.0)
@@ -129,7 +124,7 @@ def peml_weights(
         raise InfeasibleError(
             "x_bar lies outside the open hull of the sampled x values; "
             "no positive calibrated weights exist"
-        ).at_row(int(outside.argmax()))
+        ).at_rows(outside)
 
     def psi(dt_a, u_a, lam):  # psi and -psi'
         r = u_a / (1.0 + lam[:, None] * u_a)
@@ -139,7 +134,7 @@ def peml_weights(
     # the rows still iterating, compacted; the best iterate of each row is
     # written back to best_lam / best_val when its row leaves
     rows = np.flatnonzero(solve)
-    target = tol * np.maximum(1.0, u_scale)
+    target = _TOL * np.maximum(1.0, u_scale)
     best_lam, best_val = np.zeros(w.shape[0]), np.zeros(w.shape[0])
     dt_a, u_a, tgt = dt[rows], u[rows], target[rows]
     blo, bhi = -1.0 / u_max[rows], -1.0 / u_min[rows]
@@ -147,7 +142,7 @@ def peml_weights(
     val, curv = psi(dt_a, u_a, lam)
     row_lam, row_val = lam.copy(), np.abs(val)
     live = val != 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if not live.all():
             best_lam[rows], best_val[rows] = row_lam, row_val
             rows, dt_a, u_a, tgt = rows[live], dt_a[live], u_a[live], tgt[live]
@@ -172,19 +167,18 @@ def peml_weights(
     unconverged = solve & (best_val > target)
     if unconverged.any():
         raise ConvergenceError(
-            f"calibration root search did not converge in {max_iter} iterations"
-        ).at_row(int(unconverged.argmax()))
+            f"calibration root search did not converge in {_MAX_ITER} iterations"
+        ).at_rows(unconverged)
 
     c = dt / (1.0 + best_lam[:, None] * u)
     resid_sum = np.abs(c.sum(axis=1) - 1.0)
     resid_x = np.abs((c * x_sample).sum(axis=1) - x_bar) / max(1.0, abs(x_bar))
     bad = (resid_sum > 1e-10) | (resid_x > 1e-10) | ((c > 0) != inside).any(axis=1)
     if bad.any():
-        r = int(bad.argmax())
         raise ConvergenceError(
-            f"calibration residuals too large (sum: {resid_sum[r]:.2e}, "
-            f"x: {resid_x[r]:.2e})"
-        ).at_row(r)
+            f"calibration residuals too large (sum: {resid_sum[bad].max():.2e}, "
+            f"x: {resid_x[bad].max():.2e})"
+        ).at_rows(bad)
     return c if dv.ndim == 2 else c[0]
 
 
@@ -204,7 +198,7 @@ def _wls_slope(
     ``w.sum(axis=1)`` if the caller has it.  x is shifted by the x of each
     row's first positively weighted unit before it is centred, so that a row
     whose weighted x values are all equal, and only such a row, has a zero
-    denominator; that row raises with its ``row``."""
+    denominator; such rows raise, named in ``rows``."""
     if w_sum is None:
         w_sum = w.sum(axis=1)
     first = (w > 0).argmax(axis=1)
@@ -218,7 +212,7 @@ def _wls_slope(
 def _check_positive(values: np.ndarray, message: str) -> None:
     bad = values <= 0
     if bad.any():
-        raise DegenerateError(message).at_row(int(bad.argmax()))
+        raise DegenerateError(message).at_rows(bad)
 
 
 def estimate_mean_rows(
@@ -230,7 +224,7 @@ def estimate_mean_rows(
 ) -> np.ndarray:
     """The (m, p) mean estimates of the columns of h, one row per row of
     design weights (m, n), row i weighting sample i: x_sample (m, n) and
-    h (m, n, p).  An undefined row raises with its position as ``row``."""
+    h (m, n, p).  Undefined rows raise, named in ``rows``."""
     dh = _row_dots(weights, h)
     if kind in (EstimatorKind.HT, EstimatorKind.RHC_EST):
         return dh
@@ -261,7 +255,7 @@ def estimate_mean(
     ``h_values`` may be (n,) or (n, p); the estimate has matching shape
     (scalar or (p,)).  Each column is treated as its own study variable.  On
     a batch of m samples h_values is (m, n) or (m, n, p) and the estimates
-    (m,) or (m, p), one per sample; a failing sample raises with its row.
+    (m,) or (m, p), one per sample; failing samples raise, named in ``rows``.
     """
     if not valid_pair(kind, sample.design):
         raise CombinationError(

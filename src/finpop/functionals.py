@@ -122,7 +122,7 @@ class Functional:
     def _spreads(self, c: np.ndarray) -> list[np.ndarray]:
         """The variance terms the correlation (two) or the regression
         coefficient (one) divides by, each required positive in every column
-        of moments; a column where one is not raises with its ``row``."""
+        of moments; the columns where one is not raise as ``rows``."""
         # float_power is libm pow, as ``**`` on a float scalar is; an array's
         # ``** 2`` multiplies instead and can differ in the last bit
         if self.kind is FunctionalKind.CORRELATION:
@@ -133,13 +133,13 @@ class Functional:
             message = "regression coefficient undefined: regressor variance not positive"
         bad = np.logical_or.reduce([v <= 0 for v in spreads])
         if bad.any():
-            raise UndefinedParameterError(message).at_row(int(bad.argmax()))
+            raise UndefinedParameterError(message).at_rows(bad)
         return spreads
 
     def g(self, s: np.ndarray) -> float | np.ndarray:
         """g at a moment vector (p,), or at each row of an (m, p) array.
 
-        A row where g is undefined raises with its position as ``row``.
+        The rows where g is undefined raise, named in ``rows``.
         """
         c = self._columns(s)  # one column per moment vector
         if self.kind is FunctionalKind.MEAN:
@@ -156,7 +156,7 @@ class Functional:
 
     def grad_g(self, s: np.ndarray) -> np.ndarray:
         """The gradient (p,) of g at a moment vector (p,), or (m, p) at each
-        row of an (m, p) array; an undefined row raises with its ``row``."""
+        row of an (m, p) array; undefined rows raise, named in ``rows``."""
         c = self._columns(s)
         if self.kind is FunctionalKind.MEAN:
             cols = [np.ones_like(c[0])]
@@ -203,7 +203,7 @@ def plug_in(
     f: Functional, kind: EstimatorKind, sample: SampleDraw, pop: Population
 ) -> float:
     """g of the estimated mean of h at the sampled units: a float, or (m,)
-    for a batch of m samples, a failing sample raising with its ``row``.
+    for a batch of m samples, failing samples raising, named in ``rows``.
 
     Correlation and regression coefficients only admit the Hajek and PEML
     plug-ins (the others can produce negative variance estimates).

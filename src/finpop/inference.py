@@ -20,11 +20,12 @@ A level-q interval is then  point +- z * sqrt(variance / n).  The variance
 estimator and the interval also take a batch of same-size samples, one
 estimate or interval per row; one sample is their batch of one.
 
-``jackknife_bc`` computes  n g - (n-1) mean of leave-one-out g's, each
-leave-one-out estimate keeping the remaining units' original design weights
-(self-normalizing estimators renormalize on their own).  Row r n + i zeroes
-unit i of sample r, pi-based or RHC; a pass holds at most 2**14 weight entries
-(one row if n > 2**14), but the full-sample plug-in takes the whole batch.
+``jackknife_bc`` computes  n g - (n-1) mean of leave-one-out g's, each on the
+delete-one replicate weights n/(n-1) d of the remaining units (Wolter 2007,
+ch. 4); Hajek, ratio, GREG and PEML are invariant to that factor and keep d.
+Row r n + i zeroes unit i of sample r, pi-based or RHC; a pass holds at most
+2**14 weight entries (one row if n > 2**14), but the full-sample plug-in takes
+the whole batch.  A failure names every sample with an undefined row.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def variance_estimate(
     gradient of g is taken at that d-weighted sum, except for the correlation
     coefficient, where it can be undefined: there it is taken at the Hajek
     mean (pi-based) or the PEML mean (RHC).  A batch of m samples gives (m,)
-    estimates, a failing sample raising with its ``row``.
+    estimates, failing samples raising, named in ``rows``.
     """
     if not supports_variance_estimate(kind, sample.design):
         raise CombinationError(f"no {sample.design} variance estimator for {kind}")
@@ -193,11 +194,11 @@ def jackknife_bc(
     """Bias-corrected estimate  n g - (n-1) mean over i of g on the sample
     without unit i: a float, or (m,) for a batch of m samples.
 
-    Flat row r n + i is sample r's design weights with unit i's set to 0, so
-    row-wise estimator passes of a bounded number of rows give every
+    Flat row r n + i is sample r's replicate weights with unit i's set to
+    0, so row-wise estimator passes of a bounded number of rows give every
     leave-one-out estimate.  Exact for estimators linear in the per-unit
-    terms; an undefined leave-one-out estimate aborts with the offending unit
-    (the first by sample position) and its sample's ``row``.
+    terms; an undefined leave-one-out estimate aborts with the lowest flat
+    row's unit and names every sample that has one in ``rows``.
     """
     n = sample.n
     if n < 3:
@@ -205,18 +206,21 @@ def jackknife_bc(
     full = plug_in(f, kind, sample, pop)
     idx = np.atleast_2d(sample.indices)  # one sample is a batch of one
     d = np.atleast_2d(design_weights(sample, pop))
-    x_s, h = pop.x[idx], f.h(pop.y[idx])
+    if kind in (EstimatorKind.HT, EstimatorKind.RHC_EST, EstimatorKind.PRODUCT):
+        d = d * (n / (n - 1))  # the others are invariant to a common factor
+    x_s, h, flat = pop.x[idx], f.h(pop.y[idx]), np.arange(idx.size)
 
-    def leave_out(lo, hi):
-        r, i = np.divmod(np.arange(lo, hi), n)
+    def leave_out(rows):
+        r, i = np.divmod(flat[rows], n)
         w = np.where(np.arange(n) == i[:, None], 0.0, d[r])
         return f.g(estimate_mean_rows(kind, w, x_s[r], pop.x_bar(), h[r]))
 
-    _, loo, failure = rows_that_evaluate(leave_out, idx.size, n, stop_at_failure=True)
+    kept, loo, failure = rows_that_evaluate(leave_out, idx.size, n)
     if failure is not None:
         row, error = failure
         unit = int(idx.flat[row])
         message = f"leave-one-out estimate undefined without unit {unit}: {error}"
-        raise JackknifeFailureError(message, unit=unit).at_row(row // n) from error
+        failed = np.bincount(kept // n, minlength=len(idx)) < n
+        raise JackknifeFailureError(message, unit=unit).at_rows(failed) from error
     bc = n * full - (n - 1) * loo.reshape(-1, n).sum(axis=1) / n
     return float(bc[0]) if sample.indices.ndim == 1 else bc

@@ -17,12 +17,13 @@ memory by ``errors.rows_that_evaluate``.
 
 Replicates where an estimate is undefined (infeasible calibration, undefined
 correlation, ...) are dropped from that cell's moments and counted as
-failures instead of propagating NaNs into the ratios; a failing row is found
-through ``FinpopError.row`` and the rows around it are evaluated again.
+failures instead of propagating NaNs into the ratios; a failing check names
+its rows in ``FinpopError.rows``, and the rest of the pass runs again.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from math import nan
 
@@ -89,7 +90,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        sizes = tuple(_integer(n, "each of sample_sizes") for n in self.sample_sizes)
+        object.__setattr__(self, "sample_sizes", sizes)
+        for name in ("replicates", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if self.baseline is not None:
+            object.__setattr__(self, "baseline", _integer(self.baseline, "baseline"))
+        if not isinstance(self.jackknife, bool):
+            raise ParameterError(f"jackknife must be true or false, got {self.jackknife!r}")
         if not self.cells:
             raise ParameterError("at least one cell is required")
         if len(set(self.cells)) != len(self.cells):
@@ -129,6 +137,16 @@ class ExperimentConfig:
         if any(c.design is DesignKind.RAO_SAMPFORD for c in self.cells):
             for n in self.sample_sizes:
                 inclusion_probabilities(DesignKind.RAO_SAMPFORD, self.population, n)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool, a float or a string is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
 def empirical_mse(estimates, truth: float) -> float:
@@ -291,13 +309,13 @@ def _cell_result(
     jackknife."""
     pop, f, kind, n = cfg.population, cell.functional, cell.estimator, batch.n
     ok, est, _ = rows_that_evaluate(
-        lambda lo, hi: plug_in(f, kind, batch[lo:hi], pop), cfg.replicates, n
+        lambda rows: plug_in(f, kind, batch[rows], pop), cfg.replicates, n
     )
-    rows = batch if ok.size in (0, cfg.replicates) else batch[ok]  # those with an estimate
+    estimated = batch if ok.size in (0, cfg.replicates) else batch[ok]
     lengths, covered = np.empty(0), 0
     if supports_variance_estimate(kind, cell.design):
         with_var, var, _ = rows_that_evaluate(
-            lambda lo, hi: variance_estimate(rows[lo:hi], pop, f, kind), ok.size, n
+            lambda rows: variance_estimate(estimated[rows], pop, f, kind), ok.size, n
         )
         if with_var.size:
             ci = confidence_interval(est[with_var], var, n, cfg.ci_level)
@@ -318,7 +336,7 @@ def _cell_result(
     )
     if cfg.jackknife:
         _, bc, _ = rows_that_evaluate(
-            lambda lo, hi: jackknife_bc(rows[lo:hi], pop, f, kind), ok.size, n
+            lambda rows: jackknife_bc(estimated[rows], pop, f, kind), ok.size, n
         )
         result.bc_failures = cfg.replicates - bc.size
         result.bc_mean = float(np.mean(bc)) if bc.size else nan

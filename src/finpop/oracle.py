@@ -6,8 +6,8 @@ estimator over the whole batch in one pass, yielding its exact design
 expectation and MSE.  All four designs enumerate, Rao-Sampford through
 Sampford's closed-form sample probabilities.  This is the ground truth used
 to verify unbiasedness claims and to sanity-check the asymptotic MSE
-formulas at desk scale.  Exact mode tolerates no undefined estimate: any
-failure on a support point propagates.
+formulas at desk scale.  Exact mode tolerates no undefined estimate: the
+lowest failing support point's error propagates.
 
 The population-free part of each sample space (the subsets, or RHC's
 outcomes and group layouts) is built once per (N, n) and reused by the next
@@ -59,8 +59,8 @@ def exact_moments(
     support = enumerate_design(design, pop, n)
     truth = population_value(f, pop)
     batch, probs = support.batch, support.probs
-    evaluate = lambda lo, hi: plug_in(f, kind, batch[lo:hi], pop)  # noqa: E731
-    _, values, failure = rows_that_evaluate(evaluate, len(support), n, stop_at_failure=True)
+    evaluate = lambda rows: plug_in(f, kind, batch[rows], pop)  # noqa: E731
+    _, values, failure = rows_that_evaluate(evaluate, len(support), n)
     if failure is not None:
         i, error = failure
         raise FinpopError(

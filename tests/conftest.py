@@ -47,16 +47,17 @@ def random_population(rng, N=None, d=1):
     return Population(x=x, y=y)
 
 
-def drop_unit(sample, position):
-    """The same one-sample draw with the unit at ``position`` removed: the
-    leave-one-out sample the jackknife's weight matrix stands for."""
+def drop_unit(sample, position, scale=1.0):
+    """The same one-sample draw with the unit at ``position`` removed and the
+    others' design weights times ``scale``: with n/(n-1), the delete-one
+    jackknife replicate the jackknife's weight matrix stands for."""
     keep = np.ones(sample.n, dtype=bool)
     keep[position] = False
     return SampleDraw(
         design=sample.design,
         indices=sample.indices[keep],
-        pi=None if sample.pi is None else sample.pi[keep],
-        g_totals=None if sample.g_totals is None else sample.g_totals[keep],
+        pi=None if sample.pi is None else sample.pi[keep] / scale,
+        g_totals=None if sample.g_totals is None else sample.g_totals[keep] * scale,
     )
 
 

@@ -218,6 +218,21 @@ class TestRun:
         assert "jackknife" in err and "sample_sizes" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("sample_sizes", "75"), ("jackknife", "false"), ("replicates", 2.5),
+        ("replicates", True),
+    ], ids=repr)
+    def test_config_values_are_not_coerced(self, tmp_path, capsys, field, value):
+        # "75" used to run n = 7 and n = 5, and "false" to turn the jackknife on
+        cfg = self.make_config(tmp_path, **{field: value})
+        out_dir = tmp_path / "coerced"
+        code, _, err = run_cli(
+            capsys, "run", "--config", str(cfg), "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert field in err
+        assert not out_dir.exists()
+
     def test_unknown_config_field_exits_1(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path, bogus_field=1)
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))

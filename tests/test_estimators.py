@@ -3,6 +3,7 @@ import pytest
 
 from finpop import (
     CombinationError,
+    ConvergenceError,
     DegenerateError,
     DesignKind,
     EstimatorKind,
@@ -19,6 +20,7 @@ from finpop import (
     peml_weights,
     valid_pair,
 )
+from finpop import estimators
 
 PI_DESIGNS = (DesignKind.SRSWOR, DesignKind.LMS, DesignKind.RAO_SAMPFORD)
 
@@ -266,6 +268,18 @@ class TestPemlWeights:
             peml_weights(np.ones(3) / 3, np.array([1.0, 2.0, 3.0]), 5.0)
         with pytest.raises(InfeasibleError):
             peml_weights(np.ones(3) / 3, np.array([1.0, 2.0, 3.0]), 1.0)
+
+    def test_iteration_cap_names_every_unconverged_row(self, monkeypatch):
+        # rows 0 and 2 are symmetric about x_bar (lam = 0 at once) and row 3
+        # has every x at x_bar; rows 1 and 4 need several Newton steps
+        x = np.array([[1.0, 3.0], [1.0, 2.5], [0.0, 4.0], [2.0, 2.0], [1.5, 9.0]])
+        d = np.array([[1.0, 1.0], [1.0, 3.0], [2.0, 2.0], [1.0, 1.0], [5.0, 1.0]])
+        assert np.all(np.isfinite(peml_weights(d, x, 2.0)))
+        monkeypatch.setattr(estimators, "_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="in 1 iterations") as err:
+            peml_weights(d, x, 2.0)
+        np.testing.assert_array_equal(err.value.rows, [1, 4])
+        assert err.value.row == 1
 
     def test_all_x_equal_mean(self):
         c = peml_weights(np.array([0.3, 0.7]), np.array([2.0, 2.0]), 2.0)

@@ -306,6 +306,32 @@ class TestJackknife:
             bc = jackknife_bc(s, benchmark_pop, MEAN, EstimatorKind.HAJEK)
             assert bc == pytest.approx(plain, abs=1e-10 * max(1, abs(plain)))
 
+    @pytest.mark.parametrize("design", list(DesignKind), ids=str)
+    def test_linear_estimators_are_their_own_correction(self, design, benchmark_pop):
+        # the leave-one-out HT and RHC means on the n/(n-1) replicate weights
+        # average to the full-sample mean, so bc is the plug-in
+        kind = EstimatorKind.RHC_EST if design is DesignKind.RHC else EstimatorKind.HT
+        rng = np.random.default_rng(49)
+        for n in (3, 20):
+            batch = stack(draw(design, benchmark_pop, n, rng) for _ in range(5))
+            plain = plug_in(MEAN, kind, batch, benchmark_pop)
+            bc = jackknife_bc(batch, benchmark_pop, MEAN, kind)
+            np.testing.assert_allclose(bc, plain, rtol=1e-13, atol=0)
+
+    def test_product_correction_is_exact_under_srswor(self):
+        # the product estimator's SRSWOR bias is c (1/n - 1/N); the delete-one
+        # replicates estimate it as c/n, so over the whole sample space the
+        # corrected bias is -c/N, that is -n/(N-n) times the plug-in's
+        rng = np.random.default_rng(50)
+        x = rng.gamma(25.0, 4.0, 12)
+        pop = Population(x=x, y=500 + 3 * x + rng.normal(0, 30, 12))
+        support = enumerate_design(DesignKind.SRSWOR, pop, 4)
+        truth = pop.y.mean()
+        bias = support.probs @ plug_in(MEAN, EstimatorKind.PRODUCT, support.batch, pop) - truth
+        bc = jackknife_bc(support.batch, pop, MEAN, EstimatorKind.PRODUCT)
+        assert abs(bias) > 0.1
+        assert support.probs @ bc - truth == pytest.approx(-bias * 4 / 8, rel=1e-9)
+
     def test_variance_hand_case(self):
         # Hajek variance, SRSWOR, y = (1,2,3): full g = 2/3,
         # leave-one-out g's = (1/4, 1, 1/4), BC = 3*(2/3) - 2*(1/2) = 1
@@ -362,6 +388,17 @@ class TestJackknife:
             jackknife_bc(stack(draws), pop, MEAN, EstimatorKind.PEML)
         assert err.value.row == 2 and err.value.unit == one.value.unit == 2
 
+    def test_every_failing_sample_of_a_batch_is_named(self):
+        # samples 2 and 4 have no x above x_bar = 128/7 without unit 2
+        pop = Population(x=np.array([1.0, 2.0, 50.0, 40.0, 2.0, 3.0, 30.0]),
+                         y=np.arange(7.0))
+        units = ([0, 1, 2, 3], [4, 5, 3, 6], [0, 1, 4, 2], [1, 6, 2, 5], [5, 4, 2, 0])
+        with pytest.raises(JackknifeFailureError) as err:
+            jackknife_bc(stack(srswor_sample(pop, u) for u in units), pop, MEAN,
+                         EstimatorKind.PEML)
+        np.testing.assert_array_equal(err.value.rows, [2, 4])
+        assert err.value.row == 2 and err.value.unit == 2
+
     def test_memory_is_bounded_whatever_n(self, benchmark_pop):
         # the whole (n, n) leave-one-out weight matrix alone would take 32 MB
         s = draw(DesignKind.SRSWOR, benchmark_pop, 2000, np.random.default_rng(48))
@@ -375,13 +412,20 @@ class TestJackknife:
         assert peak <= 32 * 2**20
 
 
+def replicate_scale(kind, n):
+    """The factor on the remaining units' design weights in a delete-one
+    replicate: n/(n-1), where a common factor changes the estimator."""
+    variant = (EstimatorKind.HT, EstimatorKind.RHC_EST, EstimatorKind.PRODUCT)
+    return n / (n - 1) if kind in variant else 1.0
+
+
 def loo_reference(sample, pop, f, kind):
     """The leave-one-out loop: per sample position, the mean vector and the
-    plug-in on the sample without that unit; or, where the plug-in is first
-    undefined, that unit."""
+    plug-in on the delete-one replicate without that unit; or, where the
+    plug-in is first undefined, that unit."""
     means, values = [], []
     for i in range(sample.n):
-        s_i = drop_unit(sample, i)
+        s_i = drop_unit(sample, i, replicate_scale(kind, sample.n))
         try:
             means.append(estimate_mean(kind, s_i, pop, f.h(pop.y[s_i.indices])))
             values.append(plug_in(f, kind, s_i, pop))
@@ -422,7 +466,8 @@ class TestClosedFormJackknife:
                         jackknife_bc(s, pop, f, kind)
                     assert err.value.unit == failed_unit
                     continue
-                weights = np.where(np.eye(n, dtype=bool), 0.0, design_weights(s, pop))
+                d = design_weights(s, pop) * replicate_scale(kind, n)
+                weights = np.where(np.eye(n, dtype=bool), 0.0, d)
                 x_s, h = pop.x[s.indices], f.h(pop.y[s.indices])
                 means = estimate_mean_rows(
                     kind, weights, np.tile(x_s, (n, 1)), pop.x_bar(), np.tile(h, (n, 1, 1))

@@ -322,6 +322,29 @@ class TestRunExperiment:
             seed=1,
         )
 
+    @pytest.mark.parametrize("field,value", [
+        ("sample_sizes", "75"), ("sample_sizes", (5.0,)), ("replicates", 2.5),
+        ("replicates", True), ("seed", "1"), ("jackknife", "false"), ("jackknife", 1),
+        ("baseline", True),
+    ], ids=repr)
+    def test_config_values_are_checked_not_coerced(self, field, value):
+        values = dict(sample_sizes=(5,), replicates=10, seed=1, jackknife=False, baseline=0)
+        values[field] = value
+        with pytest.raises(ParameterError, match=field):
+            ExperimentConfig(
+                population=small_pop(),
+                cells=(mean_cell(DesignKind.SRSWOR, EstimatorKind.HAJEK),), **values
+            )
+
+    def test_numpy_integers_are_integers(self):
+        cfg = ExperimentConfig(
+            population=small_pop(),
+            cells=(mean_cell(DesignKind.SRSWOR, EstimatorKind.HAJEK),),
+            sample_sizes=np.array([5, 6]), replicates=np.int64(10), seed=np.uint32(1),
+        )
+        assert cfg.sample_sizes == (5, 6) and (cfg.replicates, cfg.seed) == (10, 1)
+        assert all(type(v) is int for v in (*cfg.sample_sizes, cfg.replicates, cfg.seed))
+
     def test_infeasible_rao_sampford_size_fails_validation(self):
         # n = 2 is feasible, but n = 3 puts n x_i / sum(x) >= 1 for the last
         # unit: the config is refused before any replicate runs

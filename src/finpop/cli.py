@@ -52,7 +52,6 @@ _FUNCTIONALS = {
     "mean": MEAN,
     "variance": VARIANCE,
     "correlation": CORRELATION,
-    "regression": regression_coef(0, 1),
     "regression12": regression_coef(0, 1),
     "regression21": regression_coef(1, 0),
 }
@@ -174,7 +173,7 @@ def _config_population(node: dict) -> Population:
         if key not in node:
             raise _UsageError(f"population.{key} is required with population.model")
     return _generate(
-        model, int(node["n_pop"]), int(node["seed"]),
+        model, node["n_pop"], node["seed"],
         *(node.get(key) for key in ("alpha", "beta", "sigma", "gamma_mean", "gamma_sd")),
     )
 
@@ -222,7 +221,7 @@ def _parse_config(path: str) -> ExperimentConfig:
             sample_sizes=doc["sample_sizes"],
             replicates=doc["replicates"],
             seed=doc["seed"],
-            ci_level=float(doc.get("ci_level", 0.95)),
+            ci_level=doc.get("ci_level", 0.95),
             jackknife=doc.get("jackknife", False),
             baseline=baseline,
         )

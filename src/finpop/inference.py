@@ -16,7 +16,9 @@ differ from it by terms carrying sum d - 1 = O_p(n^{-1/2}), so both give
 consistent estimators of the same asymptotic class, but they are not
 positive on samples whose x varies little.
 
-A level-q interval is then  point +- z * sqrt(variance / n).  The variance
+A level-q interval is then  point +- z * sqrt(variance / n), z the standard
+normal quantile at (1 + q) / 2 from ``statistics.NormalDist.inv_cdf``, which
+implements Wichura's AS241 (Applied Statistics 37:477-484, 1988).  The variance
 estimator and the interval also take a batch of same-size samples, one
 estimate or interval per row; one sample is their batch of one.
 
@@ -31,10 +33,9 @@ the whole batch.  A failure names every sample with an undefined row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from .asymptotics import gamma_coeff
 from .designs import DesignKind, SampleDraw
@@ -176,16 +177,10 @@ def confidence_interval(
         raise ParameterError("variance estimate cannot be negative")
     if n < 1:
         raise ParameterError("n must be positive")
-    half = _z(level) * np.sqrt(var / n)
+    half = NormalDist().inv_cdf(0.5 * (1.0 + level)) * np.sqrt(var / n)
     if var.ndim == 0:
         point, half = float(point), float(half)
     return ConfidenceInterval(center=point, half_width=half, level=level)
-
-
-@lru_cache(maxsize=16)
-def _z(level: float) -> float:
-    """The standard normal quantile at (1 + level) / 2."""
-    return float(stats.norm.ppf(0.5 * (1.0 + level)))
 
 
 def jackknife_bc(

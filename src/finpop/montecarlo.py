@@ -23,9 +23,9 @@ its rows in ``FinpopError.rows``, and the rest of the pass runs again.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from math import nan
+from numbers import Real
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .inference import (
     supports_variance_estimate,
     variance_estimate,
 )
-from .population import Population
+from .population import Population, _integer
 
 __all__ = [
     "Cell",
@@ -106,8 +106,8 @@ class ExperimentConfig:
             raise ParameterError("replicates must be at least 1")
         if self.seed < 0:
             raise ParameterError("seed must be a nonnegative integer")
-        if not 0 < self.ci_level < 1:
-            raise ParameterError("ci_level must lie strictly between 0 and 1")
+        if not isinstance(self.ci_level, Real) or not 0 < self.ci_level < 1:
+            raise ParameterError(f"ci_level must be a number in (0, 1), got {self.ci_level!r}")
         for n in self.sample_sizes:
             _check_n(self.population, n)
         if self.jackknife and min(self.sample_sizes, default=3) < 3:
@@ -137,16 +137,6 @@ class ExperimentConfig:
         if any(c.design is DesignKind.RAO_SAMPFORD for c in self.cells):
             for n in self.sample_sizes:
                 inclusion_probabilities(DesignKind.RAO_SAMPFORD, self.population, n)
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int; a bool, a float or a string is refused."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
 def empirical_mse(estimates, truth: float) -> float:

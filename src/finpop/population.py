@@ -13,6 +13,7 @@ pure function of ``(spec, n_pop, seed)``.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -155,9 +156,22 @@ def default_bivariate_spec() -> LinearModelSpec:
     )
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool, a float or a string is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
+
+
 def _generate(spec: LinearModelSpec, n_pop: int, seed: int) -> Population:
+    n_pop, seed = _integer(n_pop, "n_pop"), _integer(seed, "seed")
     if n_pop < 2:
         raise ParameterError("n_pop must be at least 2")
+    if seed < 0:
+        raise ParameterError("seed must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     # shape/scale from (mean, sd): mean = k*theta, var = k*theta^2
     shape = (spec.gamma_mean / spec.gamma_sd) ** 2

@@ -1,4 +1,10 @@
-"""The package's public names: what ``finpop`` exports and where each is declared."""
+"""The package's public names: what ``finpop`` exports and where each is declared,
+and what importing it loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import finpop
 
@@ -36,3 +42,14 @@ def test_no_name_is_declared_by_two_submodules():
     # silently shadow the first module's object with the second one's
     declared = [name for module in SUBMODULES for name in module.__all__]
     assert len(declared) == len(set(declared))
+
+
+def test_import_loads_no_scipy():
+    # the library runs on numpy alone; scipy is a test dependency
+    probe = "import sys, finpop; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    src = str(Path(finpop.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

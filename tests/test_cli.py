@@ -133,10 +133,11 @@ class TestAsy:
 
 
 class TestRun:
+    POPULATION = {"model": "univariate", "n_pop": 60, "seed": 2, "sigma": 10.0}
+
     def make_config(self, tmp_path, **overrides):
         doc = {
-            "population": {"model": "univariate", "n_pop": 60, "seed": 2,
-                           "sigma": 10.0},
+            "population": self.POPULATION,
             "cells": [
                 {"design": "srswor", "estimator": "peml", "functional": "mean"},
                 {"design": "srswor", "estimator": "greg", "functional": "mean"},
@@ -220,18 +221,30 @@ class TestRun:
 
     @pytest.mark.parametrize("field,value", [
         ("sample_sizes", "75"), ("jackknife", "false"), ("replicates", 2.5),
-        ("replicates", True),
+        ("replicates", True), ("ci_level", "0.9"), ("ci_level", True),
+        ("population.n_pop", 200.9), ("population.seed", "3"), ("population.seed", True),
     ], ids=repr)
     def test_config_values_are_not_coerced(self, tmp_path, capsys, field, value):
-        # "75" used to run n = 7 and n = 5, and "false" to turn the jackknife on
-        cfg = self.make_config(tmp_path, **{field: value})
+        # "75" used to run n = 7 and n = 5, "false" to turn the jackknife on,
+        # and population n_pop 200.9 to run N = 200
+        section, _, key = field.rpartition(".")
+        overrides = {section: {**self.POPULATION, key: value}} if section else {key: value}
+        cfg = self.make_config(tmp_path, **overrides)
         out_dir = tmp_path / "coerced"
         code, _, err = run_cli(
             capsys, "run", "--config", str(cfg), "--out-dir", str(out_dir),
         )
         assert code == 1
-        assert field in err
+        assert key in err
         assert not out_dir.exists()
+
+    def test_unknown_functional_exits_1_and_lists_choices(self, tmp_path, capsys):
+        # "regression" was an undocumented alias of regression12
+        cell = {"design": "srswor", "estimator": "hajek", "functional": "regression"}
+        cfg = self.make_config(tmp_path, cells=[cell])
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 1
+        assert "'regression'" in err and "'regression12'" in err and "'regression21'" in err
 
     def test_unknown_config_field_exits_1(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path, bogus_field=1)

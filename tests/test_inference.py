@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from finpop import (
     CORRELATION,
@@ -47,6 +48,12 @@ class TestConfidenceInterval:
         assert ci95.half_width == pytest.approx(1.959964, abs=1e-6)
         ci50 = confidence_interval(0.0, 100.0, 100, 0.50)
         assert ci50.half_width == pytest.approx(0.674490, abs=1e-6)
+
+    def test_quantile_matches_scipy(self):
+        # the standard library's AS241 agrees with scipy's ndtri to a few ulps
+        levels = np.linspace(0.001, 0.999, 999)
+        z = [confidence_interval(0.0, 40.0, 40, level).half_width for level in levels]
+        np.testing.assert_allclose(z, stats.norm.ppf((1 + levels) / 2), rtol=1e-14, atol=0)
 
     def test_monotone_in_variance_and_level(self):
         a = confidence_interval(0.0, 1.0, 10, 0.95)

@@ -325,7 +325,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("field,value", [
         ("sample_sizes", "75"), ("sample_sizes", (5.0,)), ("replicates", 2.5),
         ("replicates", True), ("seed", "1"), ("jackknife", "false"), ("jackknife", 1),
-        ("baseline", True),
+        ("baseline", True), ("ci_level", "0.9"), ("ci_level", True),
     ], ids=repr)
     def test_config_values_are_checked_not_coerced(self, field, value):
         values = dict(sample_sizes=(5,), replicates=10, seed=1, jackknife=False, baseline=0)

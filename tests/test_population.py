@@ -110,6 +110,14 @@ class TestGeneration:
         with pytest.raises(ParameterError):
             generate_bivariate(default_univariate_spec(), 100, seed=0)
 
+    @pytest.mark.parametrize("n_pop,seed,field", [
+        (200.9, 1, "n_pop"), (200, "3", "seed"), (200, True, "seed"), (200, -1, "seed"),
+    ], ids=repr)
+    def test_size_and_seed_are_checked_not_coerced(self, n_pop, seed, field):
+        # int() used to turn n_pop 200.9 into N = 200 and seed "3" into 3
+        with pytest.raises(ParameterError, match=field):
+            generate_univariate(default_univariate_spec(), n_pop, seed)
+
 
 class TestCsv:
     def test_load_small_file(self, tmp_path):

@@ -6,7 +6,8 @@ equivalence classes share one asymptotic MSE each; ``delta_sq`` evaluates the
 class formulas on a concrete population with the sampling fraction n/N
 standing in for its limit.  ``equivalence_class`` maps a valid
 (estimator, design) pair to its class id, with the vanishing-sampling-fraction
-merges (8 into 5, 9 into 6) available behind a flag.
+merges (8 into 5, 9 into 6) available behind a flag; the ids live in
+``estimators._CLASSES``, the table that also decides ``valid_pair``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .designs import DesignKind, _check_n, rhc_group_sizes
 from .errors import CombinationError, DegenerateError, ParameterError, UndefinedParameterError
-from .estimators import EstimatorKind, valid_pair
+from .estimators import _CLASSES, EstimatorKind, valid_pair
 from .functionals import Functional
 from .population import Population
 
@@ -141,39 +142,6 @@ def delta_sq(class_id: int, ctx: AsymptoticContext) -> float:
     raise ParameterError(f"class id must be 1..9, got {class_id}")
 
 
-_CLASS_TABLE = {
-    DesignKind.SRSWOR: {
-        EstimatorKind.GREG: 1,
-        EstimatorKind.PEML: 1,
-        EstimatorKind.HT: 2,
-        EstimatorKind.HAJEK: 2,
-        EstimatorKind.RATIO: 3,
-        EstimatorKind.PRODUCT: 4,
-    },
-    DesignKind.LMS: {
-        EstimatorKind.GREG: 1,
-        EstimatorKind.PEML: 1,
-        EstimatorKind.HT: 2,
-        EstimatorKind.HAJEK: 2,
-        EstimatorKind.RATIO: 3,
-        EstimatorKind.PRODUCT: 4,
-    },
-    DesignKind.RAO_SAMPFORD: {
-        EstimatorKind.GREG: 5,
-        EstimatorKind.PEML: 5,
-        EstimatorKind.HT: 6,
-        EstimatorKind.RATIO: 6,
-        EstimatorKind.PRODUCT: 6,
-        EstimatorKind.HAJEK: 7,
-    },
-    DesignKind.RHC: {
-        EstimatorKind.GREG: 8,
-        EstimatorKind.PEML: 8,
-        EstimatorKind.RHC_EST: 9,
-    },
-}
-
-
 def equivalence_class(
     kind: EstimatorKind, design: DesignKind, lambda_zero: bool = False
 ) -> int:
@@ -183,10 +151,8 @@ def equivalence_class(
     merges class 8 into 5 and class 9 into 6.
     """
     if not valid_pair(kind, design):
-        raise CombinationError(
-            f"estimator {kind} is not defined under the {design} design"
-        )
-    cid = _CLASS_TABLE[design][kind]
+        raise CombinationError(f"estimator {kind} is not defined under the {design} design")
+    cid = _CLASSES[design][kind]
     if lambda_zero:
         cid = {8: 5, 9: 6}.get(cid, cid)
     return cid

@@ -49,11 +49,8 @@ from .population import (
 )
 
 _FUNCTIONALS = {
-    "mean": MEAN,
-    "variance": VARIANCE,
-    "correlation": CORRELATION,
-    "regression12": regression_coef(0, 1),
-    "regression21": regression_coef(1, 0),
+    f.name: f
+    for f in (MEAN, VARIANCE, CORRELATION, regression_coef(0, 1), regression_coef(1, 0))
 }
 
 _DESIGNS = {d.value: d for d in DesignKind}
@@ -296,8 +293,6 @@ def _cmd_exact(args) -> int:
     design = _lookup("design", _DESIGNS, args.design)
     kind = _lookup("estimator", _ESTIMATORS, args.estimator)
     f = _lookup("functional", _FUNCTIONALS, args.functional)
-    if not valid_pair(kind, design):
-        raise _UsageError(f"estimator {kind} is not valid under design {design}")
     summary = exact_moments(design, pop, args.n, kind, f)
     print(f"design:       {design}")
     print(f"estimator:    {kind}")
@@ -330,11 +325,8 @@ def _cmd_asy(args) -> int:
             print(f"  class {cid}: undefined ({exc})")
     print("\nequivalence classes (estimator x design):")
     for design in DesignKind:
-        row = []
-        for kind in EstimatorKind:
-            if valid_pair(kind, design):
-                cid = equivalence_class(kind, design)
-                row.append(f"{kind}:{cid}")
+        valid = [k for k in EstimatorKind if valid_pair(k, design)]
+        row = [f"{k}:{equivalence_class(k, design)}" for k in valid]
         print(f"  {str(design):8s} {'  '.join(row)}")
     return 0
 

@@ -27,9 +27,10 @@ _PASS_ENTRIES = 2**14  # the most entries, rows times their width, one pass is g
 
 class FinpopError(Exception):
     """Base class for all finpop errors; ``rows`` are the positions of the
-    offending rows of a row-wise evaluation, and ``row`` is the first."""
+    offending rows of a row-wise evaluation, and ``row`` is the first.  An
+    error raised for the whole call names no rows: ``rows`` is None."""
 
-    row, rows = 0, np.zeros(1, dtype=np.intp)
+    row, rows = 0, None
 
     def at_rows(self, mask: np.ndarray) -> "FinpopError":
         self.rows = np.flatnonzero(mask)
@@ -43,7 +44,8 @@ def rows_that_evaluate(evaluate, m: int, width: int = 1):
 
     ``evaluate(rows)`` returns the values of the rows that ``rows`` selects
     or raises a :class:`FinpopError` whose ``rows`` are its failing rows,
-    counted within the selection.  A pass covers at most
+    counted within the selection; an error that names no rows stops the walk
+    and propagates.  A pass covers at most
     ``max(1, _PASS_ENTRIES // width)`` rows of ``width`` entries, whatever m
     is; its first call gets a slice, and after a failure the rest of the
     pass is evaluated again as an index array, since one of its rows may
@@ -60,6 +62,8 @@ def rows_that_evaluate(evaluate, m: int, width: int = 1):
             try:
                 values.append(evaluate(select))
             except FinpopError as exc:
+                if exc.rows is None:  # the call failed as a whole: no row to leave out
+                    raise
                 if failure is None or rows[exc.row] < failure[0]:
                     failure = (int(rows[exc.row]), exc.with_traceback(None))
                 rows = select = np.delete(rows, exc.rows)

@@ -20,6 +20,10 @@ out: ``estimate_mean`` is its case of one sample or of a batch of samples,
 and the jackknife passes one row per left-out unit of each sample.  GREG's
 slope ``_wls_slope`` is also the one the GREG/PEML variance estimates of
 ``inference`` linearize with.
+
+``_CLASSES`` is the one table of which estimator runs under which design:
+each design's row maps its valid estimators to their asymptotic MSE class
+(``asymptotics.equivalence_class``); ``valid_pair`` is membership in it.
 """
 
 from __future__ import annotations
@@ -60,17 +64,25 @@ class EstimatorKind(enum.Enum):
         return self.value
 
 
-_PI_KINDS = frozenset(EstimatorKind) - {EstimatorKind.RHC_EST}
-_RHC_KINDS = frozenset(
-    {EstimatorKind.RHC_EST, EstimatorKind.GREG, EstimatorKind.PEML}
-)
+# design -> {valid estimator: its asymptotic MSE class id}; LMS shares SRSWOR's row
+_SRSWOR_ROW = {
+    EstimatorKind.GREG: 1, EstimatorKind.PEML: 1, EstimatorKind.HT: 2,
+    EstimatorKind.HAJEK: 2, EstimatorKind.RATIO: 3, EstimatorKind.PRODUCT: 4,
+}
+_CLASSES = {
+    DesignKind.SRSWOR: _SRSWOR_ROW,
+    DesignKind.LMS: _SRSWOR_ROW,
+    DesignKind.RAO_SAMPFORD: {
+        EstimatorKind.GREG: 5, EstimatorKind.PEML: 5, EstimatorKind.HT: 6,
+        EstimatorKind.RATIO: 6, EstimatorKind.PRODUCT: 6, EstimatorKind.HAJEK: 7,
+    },
+    DesignKind.RHC: {EstimatorKind.GREG: 8, EstimatorKind.PEML: 8, EstimatorKind.RHC_EST: 9},
+}
 
 
 def valid_pair(kind: EstimatorKind, design: DesignKind) -> bool:
     """Whether ``kind`` is defined on draws from ``design``."""
-    if design is DesignKind.RHC:
-        return kind in _RHC_KINDS
-    return kind in _PI_KINDS
+    return kind in _CLASSES[design]
 
 
 def design_weights(sample: SampleDraw, pop: Population) -> np.ndarray:

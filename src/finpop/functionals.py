@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import SampleDraw
+from .designs import DesignKind, SampleDraw
 from .errors import CombinationError, ParameterError, UndefinedParameterError
-from .estimators import EstimatorKind, estimate_mean
+from .estimators import EstimatorKind, estimate_mean, valid_pair
 from .population import Population
 
 __all__ = [
@@ -197,6 +197,21 @@ def regression_coef(of: int = 0, on: int = 1) -> Functional:
 
 
 _RATIO_SAFE = frozenset({EstimatorKind.HAJEK, EstimatorKind.PEML})
+
+
+def _check_cell(design: DesignKind, kind: EstimatorKind, f: Functional, pop: Population):
+    """Refuse, with a ParameterError, a (design, estimator, functional) cell
+    that cannot run on ``pop``: the Monte Carlo runner, the exact oracle and
+    the CLI check a cell here before they draw or enumerate anything."""
+    if not valid_pair(kind, design):
+        raise ParameterError(f"estimator {kind} is not valid under design {design}")
+    ratio = f.kind in (FunctionalKind.CORRELATION, FunctionalKind.REGRESSION)
+    if ratio and kind not in _RATIO_SAFE:
+        raise ParameterError(f"{f.name} requires the Hajek or PEML estimator, not {kind}")
+    if f.d != pop.d:
+        raise ParameterError(
+            f"{f.name} expects d={f.d} study coordinates; population has d={pop.d}"
+        )
 
 
 def plug_in(

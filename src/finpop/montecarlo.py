@@ -32,8 +32,8 @@ import numpy as np
 from .designs import DesignKind, SampleDraw, _check_n, _draw_rows, inclusion_probabilities
 from .designs import draw  # noqa: F401 - the traced benchmark patches this name
 from .errors import ParameterError, rows_that_evaluate
-from .estimators import EstimatorKind, valid_pair
-from .functionals import _RATIO_SAFE, Functional, FunctionalKind, plug_in, population_value
+from .estimators import EstimatorKind
+from .functionals import Functional, _check_cell, plug_in, population_value
 from .inference import (
     confidence_interval,
     jackknife_bc,
@@ -113,23 +113,7 @@ class ExperimentConfig:
         if self.jackknife and min(self.sample_sizes, default=3) < 3:
             raise ParameterError("jackknife needs sample_sizes of at least 3")
         for cell in self.cells:
-            if not valid_pair(cell.estimator, cell.design):
-                raise ParameterError(
-                    f"invalid cell {cell.label()}: estimator/design mismatch"
-                )
-            if cell.functional.kind in (
-                FunctionalKind.CORRELATION,
-                FunctionalKind.REGRESSION,
-            ) and cell.estimator not in _RATIO_SAFE:
-                raise ParameterError(
-                    f"invalid cell {cell.label()}: this functional requires the "
-                    "Hajek or PEML estimator"
-                )
-            if cell.functional.d != self.population.d:
-                raise ParameterError(
-                    f"cell {cell.label()} expects d={cell.functional.d} study "
-                    f"coordinates; population has d={self.population.d}"
-                )
+            _check_cell(cell.design, cell.estimator, cell.functional, self.population)
         if self.baseline is not None and not 0 <= self.baseline < len(self.cells):
             raise ParameterError("baseline must index a cell")
         # an infeasible Rao-Sampford size raises InfeasibleError here, before

@@ -24,7 +24,7 @@ from .asymptotics import AsymptoticContext, delta_sq, equivalence_class
 from .designs import DesignKind, enumerate_design
 from .errors import FinpopError, rows_that_evaluate
 from .estimators import EstimatorKind
-from .functionals import Functional, plug_in, population_value
+from .functionals import Functional, _check_cell, plug_in, population_value
 from .population import Population
 
 __all__ = ["ExactSummary", "exact_moments", "exact_vs_formula"]
@@ -55,7 +55,9 @@ def exact_moments(
     kind: EstimatorKind,
     f: Functional,
 ) -> ExactSummary:
-    """Exact expectation and MSE over the design's full sample space."""
+    """Exact expectation and MSE over the design's full sample space; a cell
+    that ``run_experiment`` would refuse is refused before enumeration."""
+    _check_cell(design, kind, f, pop)
     support = enumerate_design(design, pop, n)
     truth = population_value(f, pop)
     batch, probs = support.batch, support.probs

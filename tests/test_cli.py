@@ -109,6 +109,25 @@ class TestExact:
         assert code == 1
         assert "not valid" in err
 
+    @pytest.mark.parametrize("functional,message", [
+        ("correlation", "Hajek or PEML"), ("mean", "expects d=1"),
+    ])
+    def test_a_cell_run_would_refuse_exits_1_before_enumerating(
+        self, tmp_path, capsys, functional, message
+    ):
+        # C(40, 10) = 847,660,528 subsets: enumerating them first exits 2
+        pop = tmp_path / "bivariate.csv"
+        assert run_cli(
+            capsys, "gen", "--model", "bivariate", "--n-pop", "40", "--seed", "1",
+            "--out", str(pop),
+        )[0] == 0
+        code, _, err = run_cli(
+            capsys, "exact", "--design", "srswor", "--estimator", "ht",
+            "--functional", functional, "--n", "10", "--pop", str(pop),
+        )
+        assert code == 1
+        assert message in err
+
 
 class TestAsy:
     def test_constant_x_phi(self, tmp_path, capsys):

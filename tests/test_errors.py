@@ -79,6 +79,20 @@ def test_a_row_failing_a_later_check_is_found_on_the_retry():
     assert row == 1 and str(error) == "check 1"
 
 
+def test_an_error_naming_no_rows_stops_the_walk():
+    # no row is at fault, so leaving rows out cannot help: one call, and the
+    # error propagates
+    calls = []
+
+    def evaluate(rows):
+        calls.append(rows)
+        raise DegenerateError("whole call")
+
+    with pytest.raises(DegenerateError, match="whole call") as err:
+        rows_that_evaluate(evaluate, 9)
+    assert err.value.rows is None and len(calls) == 1
+
+
 def test_no_rows():
     evaluate, calls = checked([], 0)
     kept, values, failure = rows_that_evaluate(evaluate, 0)

@@ -4,14 +4,16 @@ from math import comb
 import numpy as np
 import pytest
 
-from finpop import designs
+from finpop import designs, oracle
 from finpop import (
+    CORRELATION,
     AsymptoticContext,
     DesignKind,
     EnumerationTooLargeError,
     EstimatorKind,
     FinpopError,
     MEAN,
+    ParameterError,
     Population,
     delta_sq,
     empirical_mse,
@@ -20,6 +22,7 @@ from finpop import (
     exact_vs_formula,
     plug_in,
     population_value,
+    regression_coef,
 )
 from conftest import random_population
 
@@ -65,6 +68,23 @@ class TestExactMoments:
             assert s.mse == pytest.approx(
                 s.variance + (s.expectation - truth) ** 2, abs=1e-12
             )
+
+    @pytest.mark.parametrize("design,kind,f,message", [
+        (DesignKind.RHC, EstimatorKind.HT, MEAN, "not valid"),
+        (DesignKind.SRSWOR, EstimatorKind.RHC_EST, MEAN, "not valid"),
+        (DesignKind.SRSWOR, EstimatorKind.HT, CORRELATION, "Hajek or PEML"),
+        (DesignKind.LMS, EstimatorKind.GREG, regression_coef(1, 0), "Hajek or PEML"),
+        (DesignKind.SRSWOR, EstimatorKind.HAJEK, CORRELATION, "expects d=2"),
+    ])
+    def test_a_cell_run_would_refuse_is_refused_before_enumeration(
+        self, monkeypatch, pop5, design, kind, f, message
+    ):
+        def build(*args):
+            raise AssertionError("the support was enumerated")
+
+        monkeypatch.setattr(oracle, "enumerate_design", build)
+        with pytest.raises(ParameterError, match=message):
+            exact_moments(design, pop5, 2, kind, f)
 
     def test_undefined_support_point_is_fatal(self):
         # PEML is infeasible on any subset missing the single large unit

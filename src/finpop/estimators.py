@@ -94,6 +94,7 @@ def design_weights(sample: SampleDraw, pop: Population) -> np.ndarray:
 
 
 _TOL = 1e-12  # |psi| at which a PEML row has converged, relative to its largest |u|
+_RESID = 1e-15  # calibration residuals at which a converged PEML row stops at once
 _MAX_ITER = 200  # the most safeguarded Newton steps a PEML solve takes
 
 
@@ -108,13 +109,23 @@ def peml_weights(d: np.ndarray, x_sample: np.ndarray, x_bar: float) -> np.ndarra
     c_i = d~_i / (1 + lam u_i) with u_i = x_i - x_bar and lam the unique zero
     of psi(lam) = sum d~_i u_i / (1 + lam u_i) on the interval keeping every
     denominator positive.  psi is strictly decreasing there, so a safeguarded
-    Newton iteration (bisection fallback inside the bracket) always converges;
-    once |psi| is within the tolerance, a row stops at the first step that
-    fails to lower it.
+    Newton iteration (bisection fallback inside the bracket) always converges
+    from its start, lam = 0 (the jackknife starts near the root: ``_peml_solve``).
+    A row stops at the first iterate lowering |psi| to within the tolerance
+    whose residuals, |sum c - 1| = |lam psi| and |sum c x - x_bar| =
+    |1 - x_bar lam| |psi| / max(1, |x_bar|), are at most 1e-15; a row that
+    never gets there stops at the first step that fails to lower |psi|.
     """
     dv = np.asarray(d, dtype=float)
+    c, _ = _peml_solve(dv[None, :] if dv.ndim == 1 else dv, x_sample, x_bar)
+    return c if dv.ndim == 2 else c[0]
+
+
+def _peml_solve(w, x_sample, x_bar, start=None):
+    """``peml_weights`` of (m, n) weights w, returned with the (m,) dual
+    roots lam.  Row i starts at ``start[i]`` if that lies inside its bracket
+    (-1/max u, -1/min u), and at 0 otherwise or without ``start``."""
     x_sample = np.asarray(x_sample, dtype=float)
-    w = dv[None, :] if dv.ndim == 1 else dv
     if w.ndim != 2 or x_sample.shape not in (w.shape, w.shape[1:]):
         raise ParameterError("weights and sample x values must align")
     valid = (np.isfinite(w) & (w >= 0)).all(axis=1)
@@ -138,22 +149,32 @@ def peml_weights(d: np.ndarray, x_sample: np.ndarray, x_bar: float) -> np.ndarra
             "no positive calibrated weights exist"
         ).at_rows(outside)
 
-    def psi(dt_a, u_a, lam):  # psi and -psi'
-        r = u_a / (1.0 + lam[:, None] * u_a)
-        q = dt_a * r
-        return np.add.reduce(q, axis=1), np.add.reduce(q * r, axis=1)
+    rows = np.flatnonzero(solve)
+    r_buf, q_buf = np.empty((2, rows.size, w.shape[1]))
+
+    def psi(dt_a, u_a, lam):  # psi and -psi', evaluated into the two buffers
+        r, q = r_buf[: lam.size], q_buf[: lam.size]
+        np.divide(u_a, np.add(1.0, np.multiply(lam[:, None], u_a, out=r), out=r), out=r)
+        val = np.add.reduce(np.multiply(dt_a, r, out=q), axis=1)
+        return val, np.add.reduce(np.multiply(q, r, out=q), axis=1)
+
+    x_scale = max(1.0, abs(x_bar))
+
+    def settled(lam, abs_val, tgt):  # |psi| within tolerance, residuals <= _RESID
+        resid = np.maximum(np.abs(lam), np.abs(1.0 - x_bar * lam) / x_scale) * abs_val
+        return (abs_val <= tgt) & (resid <= _RESID)
 
     # the rows still iterating, compacted; the best iterate of each row is
     # written back to best_lam / best_val when its row leaves
-    rows = np.flatnonzero(solve)
     target = _TOL * np.maximum(1.0, u_scale)
     best_lam, best_val = np.zeros(w.shape[0]), np.zeros(w.shape[0])
     dt_a, u_a, tgt = dt[rows], u[rows], target[rows]
     blo, bhi = -1.0 / u_max[rows], -1.0 / u_min[rows]
-    lam = np.zeros(rows.size)
+    lam = np.zeros(rows.size) if start is None else np.asarray(start, dtype=float)[rows]
+    lam[~((blo < lam) & (lam < bhi))] = 0.0  # a start outside its bracket: 0
     val, curv = psi(dt_a, u_a, lam)
     row_lam, row_val = lam.copy(), np.abs(val)
-    live = val != 0
+    live = (val != 0) & ~settled(lam, row_val, tgt)
     for _ in range(_MAX_ITER):
         if not live.all():
             best_lam[rows], best_val[rows] = row_lam, row_val
@@ -174,7 +195,7 @@ def peml_weights(d: np.ndarray, x_sample: np.ndarray, x_bar: float) -> np.ndarra
         lowered = abs_val < row_val
         np.copyto(row_lam, lam, where=lowered)
         np.minimum(row_val, abs_val, out=row_val)
-        live = moved & (lowered | (row_val > tgt))
+        live = moved & ((lowered & ~settled(lam, abs_val, tgt)) | (row_val > tgt))
     best_lam[rows], best_val[rows] = row_lam, row_val
     unconverged = solve & (best_val > target)
     if unconverged.any():
@@ -184,14 +205,14 @@ def peml_weights(d: np.ndarray, x_sample: np.ndarray, x_bar: float) -> np.ndarra
 
     c = dt / (1.0 + best_lam[:, None] * u)
     resid_sum = np.abs(c.sum(axis=1) - 1.0)
-    resid_x = np.abs((c * x_sample).sum(axis=1) - x_bar) / max(1.0, abs(x_bar))
+    resid_x = np.abs((c * x_sample).sum(axis=1) - x_bar) / x_scale
     bad = (resid_sum > 1e-10) | (resid_x > 1e-10) | ((c > 0) != inside).any(axis=1)
     if bad.any():
         raise ConvergenceError(
             f"calibration residuals too large (sum: {resid_sum[bad].max():.2e}, "
             f"x: {resid_x[bad].max():.2e})"
         ).at_rows(bad)
-    return c if dv.ndim == 2 else c[0]
+    return c, best_lam
 
 
 def _row_dots(w: np.ndarray, v: np.ndarray) -> np.ndarray:

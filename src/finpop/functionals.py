@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import DesignKind, SampleDraw
-from .errors import CombinationError, ParameterError, UndefinedParameterError
+from .errors import ParameterError, UndefinedParameterError
 from .estimators import EstimatorKind, estimate_mean, valid_pair
 from .population import Population
 
@@ -199,15 +199,21 @@ def regression_coef(of: int = 0, on: int = 1) -> Functional:
 _RATIO_SAFE = frozenset({EstimatorKind.HAJEK, EstimatorKind.PEML})
 
 
+def _check_plug_in(f: Functional, kind: EstimatorKind):
+    """The one check, for ``plug_in`` and ``_check_cell``, that a correlation
+    or regression plug-in is Hajek or PEML."""
+    ratio = f.kind in (FunctionalKind.CORRELATION, FunctionalKind.REGRESSION)
+    if ratio and kind not in _RATIO_SAFE:
+        raise ParameterError(f"{f.name} requires the Hajek or PEML estimator, not {kind}")
+
+
 def _check_cell(design: DesignKind, kind: EstimatorKind, f: Functional, pop: Population):
     """Refuse, with a ParameterError, a (design, estimator, functional) cell
     that cannot run on ``pop``: the Monte Carlo runner, the exact oracle and
     the CLI check a cell here before they draw or enumerate anything."""
     if not valid_pair(kind, design):
         raise ParameterError(f"estimator {kind} is not valid under design {design}")
-    ratio = f.kind in (FunctionalKind.CORRELATION, FunctionalKind.REGRESSION)
-    if ratio and kind not in _RATIO_SAFE:
-        raise ParameterError(f"{f.name} requires the Hajek or PEML estimator, not {kind}")
+    _check_plug_in(f, kind)
     if f.d != pop.d:
         raise ParameterError(
             f"{f.name} expects d={f.d} study coordinates; population has d={pop.d}"
@@ -223,11 +229,7 @@ def plug_in(
     Correlation and regression coefficients only admit the Hajek and PEML
     plug-ins (the others can produce negative variance estimates).
     """
-    if f.kind in (FunctionalKind.CORRELATION, FunctionalKind.REGRESSION):
-        if kind not in _RATIO_SAFE:
-            raise CombinationError(
-                f"{f.kind} plug-in requires the Hajek or PEML estimator, not {kind}"
-            )
+    _check_plug_in(f, kind)
     h_s = f.h(pop.y[sample.indices])
     return f.g(estimate_mean(kind, sample, pop, h_s))
 

@@ -27,7 +27,9 @@ delete-one replicate weights n/(n-1) d of the remaining units (Wolter 2007,
 ch. 4); Hajek, ratio, GREG and PEML are invariant to that factor and keep d.
 Row r n + i zeroes unit i of sample r, pi-based or RHC; a pass holds at most
 2**14 weight entries (one row if n > 2**14), but the full-sample plug-in takes
-the whole batch.  A failure names every sample with an undefined row.
+the whole batch.  A PEML row starts its dual root one exact Newton step from
+its sample's full-sample root, which the plug-in's solve returns.  A failure
+names every sample with an undefined row.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .errors import (
 from .estimators import (
     EstimatorKind,
     _check_positive,
+    _peml_solve,
     _row_dots,
     _wls_slope,
     design_weights,
@@ -198,17 +201,30 @@ def jackknife_bc(
     n = sample.n
     if n < 3:
         raise ParameterError("jackknifing needs at least 3 sampled units")
-    full = plug_in(f, kind, sample, pop)
     idx = np.atleast_2d(sample.indices)  # one sample is a batch of one
     d = np.atleast_2d(design_weights(sample, pop))
+    x_s, h, flat, x_bar = pop.x[idx], f.h(pop.y[idx]), np.arange(idx.size), pop.x_bar()
+    if kind is EstimatorKind.PEML:  # plug_in's solve, keeping its roots lam
+        c, lam = _peml_solve(d, x_s, x_bar)
+        full = f.g(_row_dots(c, h))
+        # row r n + i starts one exact Newton step of its psi from lam_r, lam_r +
+        # t_i / (t_i^2 / d~_i - sum_j t_j^2 / d~_j), t_i = d~_i u_i / (1 + lam_r u_i)
+        dt, u = d / d.sum(axis=1, keepdims=True), x_s - x_bar
+        t = dt * u / (1.0 + lam[:, None] * u)
+        tt = t * t / dt
+        with np.errstate(divide="ignore", invalid="ignore"):  # nan: start at 0
+            start = (lam[:, None] + t / (tt - tt.sum(axis=1, keepdims=True))).ravel()
+    else:
+        full = plug_in(f, kind, sample, pop)
     if kind in (EstimatorKind.HT, EstimatorKind.RHC_EST, EstimatorKind.PRODUCT):
         d = d * (n / (n - 1))  # the others are invariant to a common factor
-    x_s, h, flat = pop.x[idx], f.h(pop.y[idx]), np.arange(idx.size)
 
     def leave_out(rows):
         r, i = np.divmod(flat[rows], n)
         w = np.where(np.arange(n) == i[:, None], 0.0, d[r])
-        return f.g(estimate_mean_rows(kind, w, x_s[r], pop.x_bar(), h[r]))
+        if kind is EstimatorKind.PEML:
+            return f.g(_row_dots(_peml_solve(w, x_s[r], x_bar, start[rows])[0], h[r]))
+        return f.g(estimate_mean_rows(kind, w, x_s[r], x_bar, h[r]))
 
     kept, loo, failure = rows_that_evaluate(leave_out, idx.size, n)
     if failure is not None:

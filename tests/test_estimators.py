@@ -335,6 +335,26 @@ class TestPemlRows:
                 np.testing.assert_allclose(c_row[units], alone, rtol=1e-12, atol=0)
             problems += len(w)
 
+    def test_a_start_moves_the_weights_only_by_rounding(self):
+        # from 0, from near the root, and from outside the bracket, which
+        # falls back to 0: the same weights, calibrated to 1e-12
+        rng = np.random.default_rng(13)
+        problems = 0
+        while problems < 1000:
+            w, x, x_bar = self.random_problem(rng)
+            c0, lam = estimators._peml_solve(w, x, x_bar)
+            u = np.where(w > 0, x - x_bar, 0.0)
+            blo, bhi = -1.0 / u.max(axis=1), -1.0 / u.min(axis=1)
+            sign = rng.choice([-1.0, 1.0], size=lam.size)
+            near = lam + sign * 0.1 * np.minimum(lam - blo, bhi - lam)
+            out = np.where(sign > 0, 2.0 * bhi, 2.0 * blo)
+            for start in (near, out):
+                c, _ = estimators._peml_solve(w, x, x_bar, start)
+                np.testing.assert_allclose(c, c0, rtol=1e-13, atol=0)
+                assert np.all(np.abs(c.sum(axis=1) - 1.0) <= 1e-12)
+                assert np.all(np.abs(c @ x - x_bar) <= 1e-12 * x_bar)
+            problems += len(w)
+
     def test_error_names_the_first_failing_row(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         w = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 1], [0, 1, 1, 0.0]])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from finpop import (
-    CombinationError,
     CORRELATION,
     DesignKind,
     EstimatorKind,
@@ -129,7 +128,7 @@ class TestPlugIn:
         s = srswor_sample(pop5, [0, 1, 2])
         pop2 = Population(x=pop5.x, y=np.column_stack([pop5.y[:, 0], pop5.x]))
         for f in (CORRELATION, regression_coef(0, 1)):
-            with pytest.raises(CombinationError):
+            with pytest.raises(ParameterError, match="Hajek or PEML"):
                 plug_in(f, EstimatorKind.HT, s, pop2)
 
     def test_variance_plug_in_nonnegative(self):

@@ -395,6 +395,33 @@ class TestJackknife:
             jackknife_bc(stack(draws), pop, MEAN, EstimatorKind.PEML)
         assert err.value.row == 2 and err.value.unit == one.value.unit == 2
 
+    def test_near_edge_leave_one_out_matches_the_loop(self):
+        # unit 7's x lies 5e-10 (relative) below x_bar: sample 0 without unit 0
+        # keeps x_bar that close to its hull, where a start one Newton step from
+        # the full-sample root is least accurate; sample 1 without unit 7 has
+        # no x below x_bar, so its PEML leave-one-out is infeasible
+        base = np.array([1.0, 30.0, 40.0, 50.0, 35.0, 45.0, 2.0])
+        gap = 5e-10 * base.mean()
+        x = np.append(base, (base.sum() - 8 * gap) / 7)
+        pop = Population(x=x, y=np.column_stack([1.3 * x + np.cos(7.0 * x)]))
+        assert 0 < pop.x_bar() - x[7] <= 1e-9 * pop.x_bar()
+        near = srswor_sample(pop, [0, 7, 1, 2, 3])
+        for f in (MEAN, VARIANCE):
+            ref_means, ref, failed_unit = loo_reference(near, pop, f, EstimatorKind.PEML)
+            assert failed_unit is None
+            scale = ref_means[:, 0] if f is VARIANCE else np.abs(ref)
+            ref_bc = 5 * plug_in(f, EstimatorKind.PEML, near, pop) - 4 * ref.mean()
+            bc = jackknife_bc(near, pop, f, EstimatorKind.PEML)
+            assert bc == pytest.approx(ref_bc, rel=1e-12, abs=1e-12 * 5 * scale.max())
+        infeasible = srswor_sample(pop, [1, 2, 7, 4, 5])
+        assert loo_reference(infeasible, pop, MEAN, EstimatorKind.PEML)[2] == 7
+        with pytest.raises(JackknifeFailureError) as one:
+            jackknife_bc(infeasible, pop, MEAN, EstimatorKind.PEML)
+        with pytest.raises(JackknifeFailureError) as err:
+            jackknife_bc(stack([near, infeasible]), pop, MEAN, EstimatorKind.PEML)
+        assert one.value.unit == err.value.unit == 7
+        np.testing.assert_array_equal(err.value.rows, [1])
+
     def test_every_failing_sample_of_a_batch_is_named(self):
         # samples 2 and 4 have no x above x_bar = 128/7 without unit 2
         pop = Population(x=np.array([1.0, 2.0, 50.0, 40.0, 2.0, 3.0, 30.0]),

@@ -110,7 +110,7 @@ def peml_weights(d: np.ndarray, x_sample: np.ndarray, x_bar: float) -> np.ndarra
     of psi(lam) = sum d~_i u_i / (1 + lam u_i) on the interval keeping every
     denominator positive.  psi is strictly decreasing there, so a safeguarded
     Newton iteration (bisection fallback inside the bracket) always converges
-    from its start, lam = 0 (the jackknife starts near the root: ``_peml_solve``).
+    from its start, lam = 0 (jackknife rows start at a series root: ``_peml_solve``).
     A row stops at the first iterate lowering |psi| to within the tolerance
     whose residuals, |sum c - 1| = |lam psi| and |sum c x - x_bar| =
     |1 - x_bar lam| |psi| / max(1, |x_bar|), are at most 1e-15; a row that
@@ -121,23 +121,31 @@ def peml_weights(d: np.ndarray, x_sample: np.ndarray, x_bar: float) -> np.ndarra
     return c if dv.ndim == 2 else c[0]
 
 
-def _peml_solve(w, x_sample, x_bar, start=None):
+def _peml_solve(w, x_sample, x_bar, start=None, drop=None):
     """``peml_weights`` of (m, n) weights w, returned with the (m,) dual
     roots lam.  Row i starts at ``start[i]`` if that lies inside its bracket
-    (-1/max u, -1/min u), and at 0 otherwise or without ``start``."""
+    (-1/max u, -1/min u), and at 0 otherwise or without ``start``.  With
+    ``drop=(take, unit)`` row k is sample take[k] of w and x_sample without
+    its unit unit[k]: its checks and sums are the sample's less that unit's."""
     x_sample = np.asarray(x_sample, dtype=float)
     if w.ndim != 2 or x_sample.shape not in (w.shape, w.shape[1:]):
         raise ParameterError("weights and sample x values must align")
-    valid = (np.isfinite(w) & (w >= 0)).all(axis=1)
-    if not valid.all():
-        raise ParameterError("weights must be nonnegative and finite").at_rows(~valid)
-    inside = w > 0
-    few = inside.sum(axis=1) < 2
-    if few.any():
-        raise ParameterError("need at least two sampled units").at_rows(few)
-    dt = w / w.sum(axis=1, keepdims=True)
+    ok, inside = np.isfinite(w) & (w >= 0), w > 0
     # u is 0 outside a row's units, so they add nothing to its sums
-    u = np.where(inside, x_sample - x_bar, 0.0)
+    u, w_ok = np.where(inside, x_sample - x_bar, 0.0), np.where(ok, w, 0.0)
+    n_bad, units, total = (~ok).sum(axis=1), inside.sum(axis=1), w_ok.sum(axis=1)
+    if drop is not None:  # each sample's counts and sums less the left-out unit's
+        take, unit = drop
+        n_bad, units = n_bad[take] - ~ok[take, unit], units[take] - inside[take, unit]
+        total, w, u = total[take] - w_ok[take, unit], w_ok[take], u[take]
+        w[np.arange(take.size), unit] = u[np.arange(take.size), unit] = 0.0
+        x_sample = x_sample[take] if x_sample.ndim == 2 else x_sample
+    if (n_bad > 0).any():
+        raise ParameterError("weights must be nonnegative and finite").at_rows(n_bad > 0)
+    if (units < 2).any():
+        raise ParameterError("need at least two sampled units").at_rows(units < 2)
+    # w if gathered, dt and u are this call's own: c and c x are computed in them
+    dt = np.divide(w, total[:, None], out=None if drop is None else w)
     u_max, u_min = u.max(axis=1), u.min(axis=1)
     u_scale = np.maximum(u_max, -u_min)
     # a row whose sampled x all equal x_bar has a vacuous x constraint: lam = 0
@@ -168,7 +176,7 @@ def _peml_solve(w, x_sample, x_bar, start=None):
     # written back to best_lam / best_val when its row leaves
     target = _TOL * np.maximum(1.0, u_scale)
     best_lam, best_val = np.zeros(w.shape[0]), np.zeros(w.shape[0])
-    dt_a, u_a, tgt = dt[rows], u[rows], target[rows]
+    dt_a, u_a, tgt = (dt, u, target) if rows.size == len(u) else (dt[rows], u[rows], target[rows])
     blo, bhi = -1.0 / u_max[rows], -1.0 / u_min[rows]
     lam = np.zeros(rows.size) if start is None else np.asarray(start, dtype=float)[rows]
     lam[~((blo < lam) & (lam < bhi))] = 0.0  # a start outside its bracket: 0
@@ -203,10 +211,11 @@ def _peml_solve(w, x_sample, x_bar, start=None):
             f"calibration root search did not converge in {_MAX_ITER} iterations"
         ).at_rows(unconverged)
 
-    c = dt / (1.0 + best_lam[:, None] * u)
+    c = np.divide(dt, np.add(1.0, np.multiply(best_lam[:, None], u, out=u), out=u), out=dt)
     resid_sum = np.abs(c.sum(axis=1) - 1.0)
-    resid_x = np.abs((c * x_sample).sum(axis=1) - x_bar) / x_scale
-    bad = (resid_sum > 1e-10) | (resid_x > 1e-10) | ((c > 0) != inside).any(axis=1)
+    resid_x = np.abs(np.multiply(c, x_sample, out=u).sum(axis=1) - x_bar) / x_scale
+    # c is 0 outside a row's units: a unit whose c is not positive lowers the count
+    bad = (resid_sum > 1e-10) | (resid_x > 1e-10) | ((c > 0).sum(axis=1) != units)
     if bad.any():
         raise ConvergenceError(
             f"calibration residuals too large (sum: {resid_sum[bad].max():.2e}, "

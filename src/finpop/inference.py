@@ -27,9 +27,10 @@ delete-one replicate weights n/(n-1) d of the remaining units (Wolter 2007,
 ch. 4); Hajek, ratio, GREG and PEML are invariant to that factor and keep d.
 Row r n + i zeroes unit i of sample r, pi-based or RHC; a pass holds at most
 2**14 weight entries (one row if n > 2**14), but the full-sample plug-in takes
-the whole batch.  A PEML row starts its dual root one exact Newton step from
-its sample's full-sample root, which the plug-in's solve returns.  A failure
-names every sample with an undefined row.
+the whole batch.  A PEML row, its sample's d and x less unit i, starts at the
+root of its sample, which the plug-in's solve returns, plus the root of the
+degree-12 Taylor series of its own dual about that root.  A failure names
+every sample with an undefined row.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ __all__ = [
     "confidence_interval",
     "jackknife_bc",
 ]
+_DEGREE, _STEPS = 12, 4  # the leave-one-out PEML start's Taylor degree and Newton steps
 
 
 @dataclass(frozen=True)
@@ -207,13 +209,15 @@ def jackknife_bc(
     if kind is EstimatorKind.PEML:  # plug_in's solve, keeping its roots lam
         c, lam = _peml_solve(d, x_s, x_bar)
         full = f.g(_row_dots(c, h))
-        # row r n + i starts one exact Newton step of its psi from lam_r, lam_r +
-        # t_i / (t_i^2 / d~_i - sum_j t_j^2 / d~_j), t_i = d~_i u_i / (1 + lam_r u_i)
-        dt, u = d / d.sum(axis=1, keepdims=True), x_s - x_bar
-        t = dt * u / (1.0 + lam[:, None] * u)
-        tt = t * t / dt
-        with np.errstate(divide="ignore", invalid="ignore"):  # nan: start at 0
-            start = (lam[:, None] + t / (tt - tt.sum(axis=1, keepdims=True))).ravel()
+        # row r n + i's psi at lam_r + z is, up to a factor, sum_k a_k z^k with
+        # a_k = sum_{j != i} d~_j t_j (-t_j)^k, t_j = u_j / (1 + lam_r u_j):
+        # sample r's power sums, taken one degree at a time, less unit i's term
+        t = (x_s - x_bar) / (1.0 + lam[:, None] * (x_s - x_bar))
+        own = d / d.sum(axis=1, keepdims=True) * t
+        term, sums = own.copy(), np.empty((_DEGREE + 1, len(d)))
+        for k in range(_DEGREE + 1):
+            sums[k] = term.sum(axis=1)
+            term *= -t
     else:
         full = plug_in(f, kind, sample, pop)
     if kind in (EstimatorKind.HT, EstimatorKind.RHC_EST, EstimatorKind.PRODUCT):
@@ -221,10 +225,22 @@ def jackknife_bc(
 
     def leave_out(rows):
         r, i = np.divmod(flat[rows], n)
-        w = np.where(np.arange(n) == i[:, None], 0.0, d[r])
-        if kind is EstimatorKind.PEML:
-            return f.g(_row_dots(_peml_solve(w, x_s[r], x_bar, start[rows])[0], h[r]))
-        return f.g(estimate_mean_rows(kind, w, x_s[r], x_bar, h[r]))
+        if kind is not EstimatorKind.PEML:
+            w = np.where(np.arange(n) == i[:, None], 0.0, d[r])
+            return f.g(estimate_mean_rows(kind, w, x_s[r], x_bar, h[r]))
+        a = np.vstack([own[r, i], np.broadcast_to(-t[r, i], (_DEGREE, r.size))])
+        a = sums[:, r] - np.multiply.accumulate(a)  # less unit i's own terms
+        # Newton steps on the polynomial from z = 0: the first is -a_0 / a_1, the
+        # rest take Horner's rule; all is elementwise, the same bits in any pass
+        with np.errstate(all="ignore"):  # a non-finite start falls back to 0
+            z = -a[0] / a[1]
+            for _ in range(_STEPS - 1):
+                p, dp = a[-1], 0.0
+                for a_k in a[-2::-1]:
+                    p, dp = p * z + a_k, dp * z + p
+                z -= p / dp
+        s = slice(r[0], r[-1] + 1)  # the pass's samples: r ascends
+        return f.g(_row_dots(_peml_solve(d[s], x_s[s], x_bar, lam[r] + z, (r - r[0], i))[0], h[r]))
 
     kept, loo, failure = rows_that_evaluate(leave_out, idx.size, n)
     if failure is not None:

@@ -7,6 +7,7 @@ from finpop import (
     DegenerateError,
     DesignKind,
     EstimatorKind,
+    FinpopError,
     InfeasibleError,
     JackknifeFailureError,
     MEAN,
@@ -388,6 +389,58 @@ class TestPemlRows:
         c = peml_weights(w, x, x_bar)
         for w_row, x_row, c_row in zip(w, x, c):
             assert np.array_equal(c_row, peml_weights(w_row, x_row, x_bar))
+
+    @staticmethod
+    def assert_drop_matches_zeroed(w, x, x_bar, take, unit):
+        """``drop=(take, unit)`` against the solve of the gathered rows with
+        the left-out units' weights zeroed: the same weights and roots to
+        1e-13 where every row solves, else the same error class and rows;
+        the failing rows are then left out and the rest compared again."""
+        while take.size:
+            zeroed = w[take]
+            zeroed[np.arange(take.size), unit] = 0.0
+            try:
+                want = estimators._peml_solve(zeroed, x, x_bar)
+            except FinpopError as exc:
+                with pytest.raises(type(exc)) as err:
+                    estimators._peml_solve(w, x, x_bar, drop=(take, unit))
+                np.testing.assert_array_equal(err.value.rows, exc.rows)
+                take, unit = np.delete(take, exc.rows), np.delete(unit, exc.rows)
+                continue
+            got = estimators._peml_solve(w, x, x_bar, drop=(take, unit))
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
+            return
+
+    def test_dropped_units_match_zeroed_weights(self):
+        # rows of the random problems, repeated and each without a random unit:
+        # some lose their only unit on one side of x_bar or keep one unit
+        rng = np.random.default_rng(14)
+        problems = 0
+        while problems < 1000:
+            w, x, x_bar = self.random_problem(rng)
+            take = rng.integers(len(w), size=2 * len(w))
+            unit = rng.integers(w.shape[1], size=take.size)
+            self.assert_drop_matches_zeroed(w, x, x_bar, take, unit)
+            problems += take.size
+
+    @pytest.mark.parametrize(
+        "w,take,unit,error",
+        [
+            # a bad weight fails every row that keeps it, not the row without it
+            ([[1, np.nan, 1, 1], [1, 1, -1, 1]], [0, 0, 1, 1, 0], [1, 0, 2, 3, 2],
+             ParameterError),
+            ([[1, 0, 1, 0], [1, 1, 1, 1]], [0, 1, 0], [0, 0, 2], ParameterError),
+            ([[1, 1, 1, 0], [0, 1, 1, 1]], [0, 0, 1, 1], [2, 0, 1, 3], InfeasibleError),
+        ],
+        ids=["bad-weight", "one-unit", "outside-hull"],
+    )
+    def test_dropped_unit_failures_match_zeroed_weights(self, w, take, unit, error):
+        x, w = np.array([1.0, 2.0, 3.0, 4.0]), np.array(w, dtype=float)
+        take, unit = np.array(take), np.array(unit)
+        with pytest.raises(error):
+            estimators._peml_solve(w, x, 2.5, drop=(take, unit))
+        self.assert_drop_matches_zeroed(w, x, 2.5, take, unit)
 
 
 class TestPemlGregConvergence:

@@ -12,6 +12,7 @@ from finpop import (
     EstimatorKind,
     FinpopError,
     JackknifeFailureError,
+    LinearModelSpec,
     MEAN,
     ParameterError,
     Population,
@@ -23,6 +24,7 @@ from finpop import (
     empirical_mse,
     enumerate_design,
     estimate_mean,
+    generate_univariate,
     jackknife_bc,
     plug_in,
     regression_coef,
@@ -421,6 +423,44 @@ class TestJackknife:
             jackknife_bc(stack([near, infeasible]), pop, MEAN, EstimatorKind.PEML)
         assert one.value.unit == err.value.unit == 7
         np.testing.assert_array_equal(err.value.rows, [1])
+
+    @pytest.mark.parametrize("design", [DesignKind.SRSWOR, DesignKind.RHC], ids=str)
+    @pytest.mark.parametrize("case", ["skewed-sizes", "n5"])
+    def test_peml_series_start_matches_the_loop(self, case, design, benchmark_pop):
+        # skewed sizes (sd 1.5 times the mean) leave out units far from x_bar,
+        # and at n=5 a left-out unit is a fifth of its sample: both move the
+        # root far from the sample's.  Passes hold different rows in a batch
+        # than in one-sample calls, yet give the same bits.
+        if case == "n5":
+            pop, n, m = benchmark_pop, 5, 40
+        else:
+            spec = LinearModelSpec(gamma_mean=1000.0, gamma_sd=1500.0)
+            pop, n, m = generate_univariate(spec, 2000, seed=52), 40, 12
+        rng = np.random.default_rng(53)
+        draws = [draw(design, pop, n, rng) for _ in range(m)]
+        for f in (MEAN, VARIANCE):
+            kept, want = [], []
+            for s in draws:
+                try:
+                    full = plug_in(f, EstimatorKind.PEML, s, pop)
+                except FinpopError as exc:  # x_bar outside the sample's own hull
+                    with pytest.raises(type(exc)):
+                        jackknife_bc(s, pop, f, EstimatorKind.PEML)
+                    continue
+                ref_means, ref, failed_unit = loo_reference(s, pop, f, EstimatorKind.PEML)
+                if failed_unit is not None:  # or outside a leave-one-out hull
+                    with pytest.raises(JackknifeFailureError) as err:
+                        jackknife_bc(s, pop, f, EstimatorKind.PEML)
+                    assert err.value.unit == failed_unit
+                    continue
+                scale = ref_means[:, 0] if f is VARIANCE else np.abs(ref)
+                ref_bc = n * full - (n - 1) * ref.mean()
+                bc = jackknife_bc(s, pop, f, EstimatorKind.PEML)
+                assert bc == pytest.approx(ref_bc, rel=1e-12, abs=1e-12 * n * scale.max())
+                kept.append(s)
+                want.append(bc)
+            assert len(kept) >= m // 2
+            assert jackknife_bc(stack(kept), pop, f, EstimatorKind.PEML).tolist() == want
 
     def test_every_failing_sample_of_a_batch_is_named(self):
         # samples 2 and 4 have no x above x_bar = 128/7 without unit 2

@@ -7,7 +7,8 @@ class formulas on a concrete population with the sampling fraction n/N
 standing in for its limit.  ``equivalence_class`` maps a valid
 (estimator, design) pair to its class id, with the vanishing-sampling-fraction
 merges (8 into 5, 9 into 6) available behind a flag; the ids live in
-``estimators._CLASSES``, the table that also decides ``valid_pair``.
+``estimators._CLASSES``, the table that also decides ``valid_pair``, and a
+pair outside it is refused by ``estimators._check_pair``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import DesignKind, _check_n, rhc_group_sizes
-from .errors import CombinationError, DegenerateError, ParameterError, UndefinedParameterError
-from .estimators import _CLASSES, EstimatorKind, valid_pair
+from .errors import DegenerateError, ParameterError, UndefinedParameterError
+from .estimators import _CLASSES, EstimatorKind, _check_pair
 from .functionals import Functional
 from .population import Population
 
@@ -63,7 +64,7 @@ class AsymptoticContext:
 
     @classmethod
     def compute(cls, pop: Population, f: Functional, n: int) -> "AsymptoticContext":
-        _check_n(pop, n)
+        _check_n(pop.n_units, n)
         h = f.h(pop.y)
         grad = f.grad_g(h.mean(axis=0))
         w = h @ grad
@@ -150,8 +151,7 @@ def equivalence_class(
     With ``lambda_zero`` the sampling fraction is treated as vanishing, which
     merges class 8 into 5 and class 9 into 6.
     """
-    if not valid_pair(kind, design):
-        raise CombinationError(f"estimator {kind} is not defined under the {design} design")
+    _check_pair(kind, design)
     cid = _CLASSES[design][kind]
     if lambda_zero:
         cid = {8: 5, 9: 6}.get(cid, cid)

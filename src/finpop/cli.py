@@ -9,7 +9,7 @@ Four subcommands:
   asy    asymptotic diagnostics (gamma, phi, class MSEs, class table)
 
 Exit codes: 0 success, 1 usage or configuration problem (message names the
-offending flag or field), 2 computational failure.
+offending flag, field or file), 2 computational failure.
 """
 
 from __future__ import annotations
@@ -18,16 +18,12 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from .asymptotics import AsymptoticContext, delta_sq, equivalence_class, gamma_coeff
 from .designs import DesignKind
-from .errors import (
-    CombinationError,
-    FinpopError,
-    IngestionError,
-    ParameterError,
-)
+from .errors import FinpopError, IngestionError, ParameterError
 from .estimators import EstimatorKind, valid_pair
 from .functionals import (
     CORRELATION,
@@ -61,7 +57,8 @@ class _UsageError(Exception):
     pass
 
 
-_USAGE_ERRORS = (_UsageError, ParameterError, IngestionError, CombinationError)
+# a file that cannot be read or written is a usage problem too
+_USAGE_ERRORS = (_UsageError, ParameterError, IngestionError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,30 +83,25 @@ def _lookup(what: str, choices: dict, name: str):
         ) from None
 
 
-def _generate(model, n_pop, seed, alpha, beta, sigma, gamma_mean, gamma_sd) -> Population:
-    """A synthetic ``model`` population; a None parameter keeps the default
-    spec's value, any other value (0 included) replaces it."""
+# flag and config names of the LinearModelSpec fields: sigma is sigma_eps
+_SPEC_KEYS = {
+    "sigma" if f.name == "sigma_eps" else f.name: f.name
+    for f in fields(LinearModelSpec) if f.init
+}
+
+
+def _generate(model, n_pop, seed, values: dict) -> Population:
+    """A synthetic ``model`` population from the default spec with ``values``
+    (by flag or config name) replaced; a None value keeps the default, any
+    other value (0 included) replaces it."""
     base = default_univariate_spec() if model == "univariate" else default_bivariate_spec()
-    keep = lambda value, default: default if value is None else value  # noqa: E731
-    spec = LinearModelSpec(
-        alpha=keep(alpha, base.alphas.tolist()),
-        beta=keep(beta, base.betas.tolist()),
-        sigma_eps=keep(sigma, base.sigmas.tolist()),
-        gamma_mean=keep(gamma_mean, base.gamma_mean),
-        gamma_sd=keep(gamma_sd, base.gamma_sd),
-    )
+    spec = replace(base, **{_SPEC_KEYS[k]: v for k, v in values.items() if v is not None})
     gen = generate_univariate if model == "univariate" else generate_bivariate
     return gen(spec, n_pop, seed)
 
 
 def _load_pop(args) -> Population:
-    y_cols = args.y_columns.split(",") if args.y_columns else None
-    if y_cols is None:
-        # peek at the header to take every non-x column in file order
-        with open(args.pop, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh))
-        y_cols = [c.strip() for c in header if c.strip() != args.x_column]
-    return load_csv(args.pop, args.x_column, y_cols)
+    return load_csv(args.pop, args.x_column, args.y_columns.split(",") if args.y_columns else None)
 
 
 # ---------------------------------------------------------------- gen
@@ -117,8 +109,7 @@ def _load_pop(args) -> Population:
 
 def _cmd_gen(args) -> int:
     pop = _generate(
-        args.model, args.n_pop, args.seed, args.alpha, args.beta, args.sigma,
-        args.gamma_mean, args.gamma_sd,
+        args.model, args.n_pop, args.seed, {k: getattr(args, k) for k in _SPEC_KEYS}
     )
     write_csv(pop, args.out)
     print(f"wrote {pop.n_units} units (d={pop.d}) to {args.out}")
@@ -127,36 +118,29 @@ def _cmd_gen(args) -> int:
 
 # ---------------------------------------------------------------- run
 
-_CONFIG_KEYS = {
-    "population",
-    "cells",
-    "sample_sizes",
-    "replicates",
-    "seed",
-    "ci_level",
-    "jackknife",
-    "baseline",
-}
-_POP_KEYS = {
-    "model",
-    "n_pop",
-    "seed",
-    "alpha",
-    "beta",
-    "sigma",
-    "gamma_mean",
-    "gamma_sd",
-    "csv",
-    "x_column",
-    "y_columns",
-}
-_CELL_KEYS = {"design", "estimator", "functional"}
+# each JSON node's fields, mapped to whether they are required: a config
+# and a cell are an ExperimentConfig and a Cell, whose fields without a
+# default are required
+_CONFIG_KEYS, _CELL_KEYS = (
+    {f.name: f.default is MISSING for f in fields(cls)} for cls in (ExperimentConfig, Cell)
+)
+_POP_KEYS = dict.fromkeys(
+    ["model", "n_pop", "seed", *_SPEC_KEYS, "csv", "x_column", "y_columns"], False
+)
+
+
+def _check_keys(what: str, node: dict, keys: dict) -> None:
+    """Refuse a JSON node with a field not in ``keys`` or without a required one."""
+    unknown = set(node) - set(keys)
+    if unknown:
+        raise _UsageError(f"unknown {what} field(s): {sorted(unknown)}")
+    for key, required in keys.items():
+        if required and key not in node:
+            raise _UsageError(f"{what} is missing field {key!r}")
 
 
 def _config_population(node: dict) -> Population:
-    unknown = set(node) - _POP_KEYS
-    if unknown:
-        raise _UsageError(f"unknown population field(s): {sorted(unknown)}")
+    _check_keys("population", node, _POP_KEYS)
     if "csv" in node:
         if "y_columns" not in node:
             raise _UsageError("population.y_columns is required with population.csv")
@@ -169,19 +153,11 @@ def _config_population(node: dict) -> Population:
     for key in ("n_pop", "seed"):
         if key not in node:
             raise _UsageError(f"population.{key} is required with population.model")
-    return _generate(
-        model, node["n_pop"], node["seed"],
-        *(node.get(key) for key in ("alpha", "beta", "sigma", "gamma_mean", "gamma_sd")),
-    )
+    return _generate(model, node["n_pop"], node["seed"], {k: node.get(k) for k in _SPEC_KEYS})
 
 
 def _config_cell(node: dict) -> Cell:
-    unknown = set(node) - _CELL_KEYS
-    if unknown:
-        raise _UsageError(f"unknown cell field(s): {sorted(unknown)}")
-    for key in _CELL_KEYS:
-        if key not in node:
-            raise _UsageError(f"cell is missing field {key!r}")
+    _check_keys("cell", node, _CELL_KEYS)
     return Cell(
         design=_lookup("design", _DESIGNS, node["design"]),
         estimator=_lookup("estimator", _ESTIMATORS, node["estimator"]),
@@ -198,30 +174,17 @@ def _parse_config(path: str) -> ExperimentConfig:
         raise _UsageError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise _UsageError("config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise _UsageError(f"unknown config field(s): {sorted(unknown)}")
-    for key in ("population", "cells", "sample_sizes", "replicates", "seed"):
-        if key not in doc:
-            raise _UsageError(f"config is missing field {key!r}")
+    _check_keys("config", doc, _CONFIG_KEYS)
     try:
-        cells = tuple(_config_cell(c) for c in doc["cells"])
-        baseline = doc.get("baseline", 0)
-        if isinstance(baseline, dict):
-            target = _config_cell(baseline)
-            if target not in cells:
+        # a field left out keeps ExperimentConfig's default
+        values = dict(doc, cells=tuple(_config_cell(c) for c in doc["cells"]))
+        if isinstance(doc.get("baseline"), dict):
+            target = _config_cell(doc["baseline"])
+            if target not in values["cells"]:
                 raise _UsageError("baseline cell is not among the configured cells")
-            baseline = cells.index(target)
-        return ExperimentConfig(
-            population=_config_population(doc["population"]),
-            cells=cells,
-            sample_sizes=doc["sample_sizes"],
-            replicates=doc["replicates"],
-            seed=doc["seed"],
-            ci_level=doc.get("ci_level", 0.95),
-            jackknife=doc.get("jackknife", False),
-            baseline=baseline,
-        )
+            values["baseline"] = values["cells"].index(target)
+        values["population"] = _config_population(doc["population"])
+        return ExperimentConfig(**values)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, _USAGE_ERRORS):
             raise
@@ -230,50 +193,38 @@ def _parse_config(path: str) -> ExperimentConfig:
 
 def _write_report_csvs(report: ExperimentReport, out_dir: Path, jackknife: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "mse.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = [
-            "functional", "design", "estimator", "n", "truth", "replicates",
-            "failures", "mean_estimate", "mse",
-        ]
-        if jackknife:
-            header += ["bc_failures", "bc_mean", "bc_mse"]
-        writer.writerow(header)
-        for r in report.cells:
-            row = [
-                r.cell.functional.name, str(r.cell.design),
-                str(r.cell.estimator), r.n, repr(r.truth), r.replicates,
-                r.failures, repr(r.mean_estimate), repr(r.mse),
-            ]
-            if jackknife:
-                row += [r.bc_failures, repr(r.bc_mean), repr(r.bc_mse)]
-            writer.writerow(row)
-    with (out_dir / "re.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+    bc = ["bc_failures", "bc_mean", "bc_mse"] if jackknife else []
+    tables = {
+        "mse.csv": (
+            ["functional", "design", "estimator", "n", "truth", "replicates",
+             "failures", "mean_estimate", "mse", *bc],
+            [[r.cell.functional.name, str(r.cell.design), str(r.cell.estimator),
+              r.n, repr(r.truth), r.replicates, r.failures, repr(r.mean_estimate),
+              repr(r.mse), *([r.bc_failures, repr(r.bc_mean), repr(r.bc_mse)] if bc else [])]
+             for r in report.cells],
+        ),
+        "re.csv": (
             ["functional", "n", "design", "estimator", "ref_design",
-             "ref_estimator", "re"]
-        )
-        for e in report.relative_efficiencies:
-            writer.writerow(
-                [e.subject.functional.name, e.n, str(e.subject.design),
-                 str(e.subject.estimator), str(e.reference.design),
-                 str(e.reference.estimator), repr(e.value)]
-            )
-    with (out_dir / "ci.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+             "ref_estimator", "re"],
+            [[e.subject.functional.name, e.n, str(e.subject.design),
+              str(e.subject.estimator), str(e.reference.design),
+              str(e.reference.estimator), repr(e.value)]
+             for e in report.relative_efficiencies],
+        ),
+        "ci.csv": (
             ["functional", "design", "estimator", "n", "ci_count", "coverage",
-             "mean_length", "sd_length"]
-        )
-        for r in report.cells:
-            if not r.ci_count:
-                continue
-            writer.writerow(
-                [r.cell.functional.name, str(r.cell.design),
-                 str(r.cell.estimator), r.n, r.ci_count, repr(r.coverage),
-                 repr(r.ci_mean_length), repr(r.ci_sd_length)]
-            )
+             "mean_length", "sd_length"],
+            [[r.cell.functional.name, str(r.cell.design), str(r.cell.estimator),
+              r.n, r.ci_count, repr(r.coverage), repr(r.ci_mean_length),
+              repr(r.ci_sd_length)]
+             for r in report.cells if r.ci_count],
+        ),
+    }
+    for name, (header, rows) in tables.items():
+        with (out_dir / name).open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 def _cmd_run(args) -> int:

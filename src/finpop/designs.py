@@ -105,27 +105,21 @@ class SampleDraw:
             raise ParameterError("sample indices must be distinct").at_rows(~distinct)
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
-        if self.design.is_pi_based:
-            if self.pi is None or self.g_totals is not None:
-                raise ParameterError(f"{self.design} draws carry pi, not g_totals")
-            pi = np.array(self.pi, dtype=float)
-            if pi.shape != idx.shape:
-                raise ParameterError("pi must align with indices")
-            # written so that NaN fails it too
-            if not ((pi > 0) & (pi <= 1)).all():
-                raise ParameterError("inclusion probabilities must lie in (0, 1]")
-            pi.setflags(write=False)
-            object.__setattr__(self, "pi", pi)
-        else:
-            if self.g_totals is None or self.pi is not None:
-                raise ParameterError("RHC draws carry g_totals, not pi")
-            g = np.array(self.g_totals, dtype=float)
-            if g.shape != idx.shape:
-                raise ParameterError("g_totals must align with indices")
-            if not ((g > 0) & np.isfinite(g)).all():
-                raise ParameterError("group totals must be finite and positive")
-            g.setflags(write=False)
-            object.__setattr__(self, "g_totals", g)
+        pi_based = self.design.is_pi_based
+        name, other = ("pi", "g_totals") if pi_based else ("g_totals", "pi")
+        if getattr(self, name) is None or getattr(self, other) is not None:
+            raise ParameterError(f"{self.design} draws carry {name}, not {other}")
+        value = np.array(getattr(self, name), dtype=float)
+        if value.shape != idx.shape:
+            raise ParameterError(f"{name} must align with indices")
+        # written so that NaN fails it too
+        if not ((value > 0) & (value <= 1 if pi_based else value < np.inf)).all():
+            raise ParameterError(
+                "inclusion probabilities must lie in (0, 1]" if pi_based
+                else "group totals must be finite and positive"
+            )
+        value.setflags(write=False)
+        object.__setattr__(self, name, value)
 
     @classmethod
     def _trusted(cls, design, indices, pi=None, g_totals=None) -> "SampleDraw":
@@ -170,11 +164,9 @@ class Support:
         return len(self.probs)
 
 
-def _check_n(pop: Population, n: int) -> None:
-    if not 2 <= n < pop.n_units:
-        raise ParameterError(
-            f"sample size must satisfy 2 <= n < N, got n={n}, N={pop.n_units}"
-        )
+def _check_n(N: int, n: int) -> None:
+    if not 2 <= n < N:
+        raise ParameterError(f"sample size must satisfy 2 <= n < N, got n={n}, N={N}")
 
 
 def _pps_probs(pop: Population, n: int) -> np.ndarray:
@@ -196,7 +188,7 @@ def inclusion_probabilities(design: DesignKind, pop: Population, n: int) -> np.n
     Rao-Sampford: n x_i / sum x.  RHC has no fixed per-unit probabilities at
     this interface (its metadata is draw-specific), so asking is an error.
     """
-    _check_n(pop, n)
+    _check_n(pop.n_units, n)
     N = pop.n_units
     if design is DesignKind.SRSWOR:
         return np.full(N, n / N)
@@ -213,8 +205,7 @@ def inclusion_probabilities(design: DesignKind, pop: Population, n: int) -> np.n
 def rhc_group_sizes(N: int, n: int) -> np.ndarray:
     """Random-group sizes: all N/n when it divides evenly, else a nondecreasing
     mix of floor(N/n) and floor(N/n)+1 summing to N."""
-    if not 2 <= n < N:
-        raise ParameterError(f"need 2 <= n < N, got n={n}, N={N}")
+    _check_n(N, n)
     base = N // n
     if N % n == 0:
         return np.full(n, base, dtype=int)
@@ -340,7 +331,7 @@ def _draw_rows(design: DesignKind, pop: Population, n: int, rngs) -> SampleDraw:
     """One sample of size ``n`` per generator, as an (R, n) batch whose row r
     is what ``draw`` returns for ``rngs[r]``, with what depends only on
     (population, n) computed once for all rows."""
-    _check_n(pop, n)
+    _check_n(pop.n_units, n)
     if design is DesignKind.RAO_SAMPFORD:
         return _rao_sampford_rows(pop, n, rngs)
     N = pop.n_units
@@ -464,7 +455,7 @@ def enumerate_design(design: DesignKind, pop: Population, n: int) -> Support:
     what does not depend on the population may come from the last call with
     the same (N, n) (see ``_skeleton``).
     """
-    _check_n(pop, n)
+    _check_n(pop.n_units, n)
     N = pop.n_units
     if design is DesignKind.RHC:
         batch, probs = _enumerate_rhc(pop, n)

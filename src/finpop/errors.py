@@ -84,7 +84,7 @@ class IngestionError(FinpopError, ValueError):
     """A CSV file could not be turned into a population."""
 
 
-class CombinationError(FinpopError, ValueError):
+class CombinationError(ParameterError):
     """The requested (estimator, design) pair is not valid."""
 
 

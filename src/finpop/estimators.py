@@ -23,7 +23,8 @@ slope ``_wls_slope`` is also the one the GREG/PEML variance estimates of
 
 ``_CLASSES`` is the one table of which estimator runs under which design:
 each design's row maps its valid estimators to their asymptotic MSE class
-(``asymptotics.equivalence_class``); ``valid_pair`` is membership in it.
+(``asymptotics.equivalence_class``); ``valid_pair`` is membership in it, and
+``_check_pair`` the one check that raises on a pair outside it.
 """
 
 from __future__ import annotations
@@ -83,6 +84,12 @@ _CLASSES = {
 def valid_pair(kind: EstimatorKind, design: DesignKind) -> bool:
     """Whether ``kind`` is defined on draws from ``design``."""
     return kind in _CLASSES[design]
+
+
+def _check_pair(kind: EstimatorKind, design: DesignKind) -> None:
+    """Refuse, with a CombinationError, an estimator not valid under ``design``."""
+    if not valid_pair(kind, design):
+        raise CombinationError(f"estimator {kind} is not valid under design {design}")
 
 
 def design_weights(sample: SampleDraw, pop: Population) -> np.ndarray:
@@ -299,10 +306,7 @@ def estimate_mean(
     a batch of m samples h_values is (m, n) or (m, n, p) and the estimates
     (m,) or (m, p), one per sample; failing samples raise, named in ``rows``.
     """
-    if not valid_pair(kind, sample.design):
-        raise CombinationError(
-            f"estimator {kind} is not defined under the {sample.design} design"
-        )
+    _check_pair(kind, sample.design)
     h = np.asarray(h_values, dtype=float)
     one = sample.indices.ndim == 1
     scalar = h.ndim == sample.indices.ndim

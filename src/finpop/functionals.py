@@ -24,8 +24,8 @@ import numpy as np
 
 from .designs import DesignKind, SampleDraw
 from .errors import ParameterError, UndefinedParameterError
-from .estimators import EstimatorKind, estimate_mean, valid_pair
-from .population import Population
+from .estimators import EstimatorKind, _check_pair, estimate_mean
+from .population import Population, _integer
 
 __all__ = [
     "FunctionalKind",
@@ -70,11 +70,10 @@ class Functional:
     on: int = 1
 
     def __post_init__(self):
-        if self.kind is FunctionalKind.REGRESSION:
-            if {self.of, self.on} != {0, 1}:
-                raise ParameterError(
-                    "regression coordinates must be 0 and 1 in some order"
-                )
+        for name in ("of", "on"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if self.kind is FunctionalKind.REGRESSION and {self.of, self.on} != {0, 1}:
+            raise ParameterError("regression coordinates must be 0 and 1 in some order")
 
     @property
     def name(self) -> str:
@@ -211,8 +210,7 @@ def _check_cell(design: DesignKind, kind: EstimatorKind, f: Functional, pop: Pop
     """Refuse, with a ParameterError, a (design, estimator, functional) cell
     that cannot run on ``pop``: the Monte Carlo runner, the exact oracle and
     the CLI check a cell here before they draw or enumerate anything."""
-    if not valid_pair(kind, design):
-        raise ParameterError(f"estimator {kind} is not valid under design {design}")
+    _check_pair(kind, design)
     _check_plug_in(f, kind)
     if f.d != pop.d:
         raise ParameterError(

@@ -102,6 +102,10 @@ class ExperimentConfig:
             raise ParameterError("at least one cell is required")
         if len(set(self.cells)) != len(self.cells):
             raise ParameterError("cells must be distinct")
+        if not self.sample_sizes:
+            raise ParameterError("at least one of sample_sizes is required")
+        if len(set(self.sample_sizes)) != len(self.sample_sizes):
+            raise ParameterError("sample_sizes must be distinct")
         if self.replicates < 1:
             raise ParameterError("replicates must be at least 1")
         if self.seed < 0:
@@ -109,8 +113,8 @@ class ExperimentConfig:
         if not isinstance(self.ci_level, Real) or not 0 < self.ci_level < 1:
             raise ParameterError(f"ci_level must be a number in (0, 1), got {self.ci_level!r}")
         for n in self.sample_sizes:
-            _check_n(self.population, n)
-        if self.jackknife and min(self.sample_sizes, default=3) < 3:
+            _check_n(self.population.n_units, n)
+        if self.jackknife and min(self.sample_sizes) < 3:
             raise ParameterError("jackknife needs sample_sizes of at least 3")
         for cell in self.cells:
             _check_cell(cell.design, cell.estimator, cell.functional, self.population)

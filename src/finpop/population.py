@@ -117,27 +117,19 @@ class LinearModelSpec:
     sigmas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        alphas = _as_coords(self.alpha, "alpha")
-        betas = _as_coords(self.beta, "beta")
-        sigmas = _as_coords(self.sigma_eps, "sigma_eps")
-        d = max(alphas.size, betas.size, sigmas.size)
-        if alphas.size == 1:
-            alphas = np.repeat(alphas, d)
-        if betas.size == 1:
-            betas = np.repeat(betas, d)
-        if sigmas.size == 1:
-            sigmas = np.repeat(sigmas, d)
-        if not (alphas.size == betas.size == sigmas.size == d):
+        names = {"alphas": "alpha", "betas": "beta", "sigmas": "sigma_eps"}
+        coords = {k: _as_coords(getattr(self, name), name) for k, name in names.items()}
+        d = max(arr.size for arr in coords.values())
+        if any(arr.size not in (1, d) for arr in coords.values()):
             raise ParameterError("alpha, beta and sigma_eps lengths disagree")
-        if np.any(sigmas < 0):
+        if np.any(coords["sigmas"] < 0):
             raise ParameterError("sigma_eps must be nonnegative")
         if not (self.gamma_mean > 0 and self.gamma_sd > 0):
             raise ParameterError("gamma_mean and gamma_sd must be positive")
-        for arr in (alphas, betas, sigmas):
+        for k, arr in coords.items():
+            arr = np.repeat(arr, d) if arr.size == 1 else arr
             arr.setflags(write=False)
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "sigmas", sigmas)
+            object.__setattr__(self, k, arr)
 
     @property
     def d(self) -> int:
@@ -196,16 +188,16 @@ def generate_bivariate(spec: LinearModelSpec, n_pop: int, seed: int) -> Populati
     return _generate(spec, n_pop, seed)
 
 
-def load_csv(path: str | Path, x_column: str, y_columns: Sequence[str]) -> Population:
+def load_csv(
+    path: str | Path, x_column: str, y_columns: Sequence[str] | None = None
+) -> Population:
     """Read a population from a headered CSV file.
 
+    ``y_columns`` defaults to every column but ``x_column``, in file order.
     Rows keep file order.  Parsing failures name the offending data row
     (1-based, header excluded) and column.
     """
     path = Path(path)
-    y_columns = list(y_columns)
-    if not y_columns:
-        raise IngestionError("at least one y column must be named")
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -213,6 +205,11 @@ def load_csv(path: str | Path, x_column: str, y_columns: Sequence[str]) -> Popul
         except StopIteration:
             raise IngestionError(f"{path}: file is empty") from None
         header = [name.strip() for name in header]
+        if y_columns is None:
+            y_columns = [name for name in header if name != x_column]
+        y_columns = list(y_columns)
+        if not y_columns:
+            raise IngestionError("at least one y column must be named")
         missing = [c for c in [x_column, *y_columns] if c not in header]
         if missing:
             raise IngestionError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -250,21 +247,13 @@ def load_csv(path: str | Path, x_column: str, y_columns: Sequence[str]) -> Popul
     return Population(x=np.array(xs), y=np.array(ys))
 
 
-def write_csv(
-    pop: Population, path: str | Path, x_column: str = "x",
-    y_columns: Sequence[str] | None = None,
-) -> None:
-    """Write a population to CSV (header row, full-precision decimals)."""
-    if y_columns is None:
-        y_columns = ["y"] if pop.d == 1 else [f"z{j + 1}" for j in range(pop.d)]
-    y_columns = list(y_columns)
-    if len(y_columns) != pop.d:
-        raise ParameterError(
-            f"{len(y_columns)} y column names for {pop.d} coordinates"
-        )
+def write_csv(pop: Population, path: str | Path) -> None:
+    """Write a population to CSV (header row, full-precision decimals): the
+    columns are x and then y, or z1, z2, ... for more than one coordinate."""
+    y_columns = ["y"] if pop.d == 1 else [f"z{j + 1}" for j in range(pop.d)]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([x_column, *y_columns])
+        writer.writerow(["x", *y_columns])
         for i in range(pop.n_units):
             writer.writerow([repr(float(pop.x[i]))]
                             + [repr(float(v)) for v in pop.y[i]])

@@ -302,6 +302,24 @@ class TestRun:
         assert code == 1
         assert "y_columns" in err
 
+    @pytest.mark.parametrize("sizes", [[], [8, 8]], ids=repr)
+    def test_empty_or_repeated_sample_sizes_exit_1(self, tmp_path, capsys, sizes):
+        cfg = self.make_config(tmp_path, sample_sizes=sizes)
+        out_dir = tmp_path / "sizes"
+        code, _, err = run_cli(
+            capsys, "run", "--config", str(cfg), "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "sample_sizes" in err
+        assert not out_dir.exists()
+
+    def test_missing_population_csv_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "gone.csv"
+        cfg = self.make_config(tmp_path, population={"csv": str(missing), "y_columns": ["y"]})
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error:") and str(missing) in err
+
     def test_gen_then_run_pipeline(self, tmp_path, capsys):
         pop_csv = tmp_path / "pop.csv"
         code, _, _ = run_cli(
@@ -338,3 +356,23 @@ class TestUsage:
         )
         assert code == 1
         assert "median" in err
+
+    def test_missing_population_file_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.csv"
+        code, _, err = run_cli(
+            capsys, "exact", "--design", "srswor", "--estimator", "ht",
+            "--functional", "mean", "--n", "2", "--pop", str(missing),
+        )
+        assert code == 1
+        assert err.startswith("error:") and str(missing) in err
+        assert "Traceback" not in err
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "nonexistent" / "dir" / "p.csv"
+        code, _, err = run_cli(
+            capsys, "gen", "--model", "univariate", "--n-pop", "10", "--seed", "1",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:") and str(out) in err
+        assert "Traceback" not in err

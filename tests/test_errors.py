@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from finpop.errors import _PASS_ENTRIES, DegenerateError, FinpopError, rows_that_evaluate
+from finpop.errors import (
+    _PASS_ENTRIES,
+    CombinationError,
+    DegenerateError,
+    FinpopError,
+    ParameterError,
+    rows_that_evaluate,
+)
 
 
 def checked(checks, m, names_all=True):
@@ -120,3 +127,7 @@ def test_bounded_passes_walk_as_one_pass(bad, m, names_all):
             assert failure is None
         else:
             assert failure[0] == whole[2][0] and str(failure[1]) == str(whole[2][1])
+
+
+def test_an_invalid_pair_is_a_parameter_error():
+    assert issubclass(CombinationError, ParameterError)

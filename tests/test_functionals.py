@@ -49,6 +49,17 @@ class TestTransform:
         with pytest.raises(ParameterError):
             MEAN.h(np.array([[1.0, 2.0]]))
 
+    @pytest.mark.parametrize("of,on", [(True, False), (0.0, 1), (0, 1.0)], ids=repr)
+    def test_regression_coordinates_are_integers(self, of, on):
+        # {True, False} == {0, 1}, and 0.0 passed the set check only to fail
+        # later inside numpy or as an IndexError
+        with pytest.raises(ParameterError, match="must be an integer"):
+            regression_coef(of, on)
+
+    def test_numpy_integer_coordinates_are_integers(self):
+        f = regression_coef(np.int64(1), np.int64(0))
+        assert f == regression_coef(1, 0) and type(f.of) is int
+
 
 class TestGAndGradient:
     def test_variance_g_and_grad(self):

@@ -322,6 +322,16 @@ class TestRunExperiment:
             seed=1,
         )
 
+    @pytest.mark.parametrize("sizes", [(), (5, 5), (5, 6, 5)], ids=repr)
+    def test_sample_sizes_must_be_nonempty_and_distinct(self, sizes):
+        # () ran no replicate at all, and a repeated n ran and reported twice
+        with pytest.raises(ParameterError, match="sample_sizes"):
+            ExperimentConfig(
+                population=small_pop(),
+                cells=(mean_cell(DesignKind.SRSWOR, EstimatorKind.HAJEK),),
+                sample_sizes=sizes, replicates=10, seed=1,
+            )
+
     @pytest.mark.parametrize("field,value", [
         ("sample_sizes", "75"), ("sample_sizes", (5.0,)), ("replicates", 2.5),
         ("replicates", True), ("seed", "1"), ("jackknife", "false"), ("jackknife", 1),

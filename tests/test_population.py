@@ -153,3 +153,16 @@ class TestCsv:
         back = load_csv(path, "x", ["z1", "z2"])
         np.testing.assert_array_equal(back.x, pop.x)
         np.testing.assert_array_equal(back.y, pop.y)
+
+    def test_default_y_columns_are_the_others_in_file_order(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("b, x ,a\n1.0,2.0,3.0\n4.0,5.0,6.0\n", encoding="utf-8")
+        pop = load_csv(path, "x")
+        np.testing.assert_array_equal(pop.x, [2.0, 5.0])
+        np.testing.assert_array_equal(pop.y, [[1.0, 3.0], [4.0, 6.0]])
+
+    def test_a_file_with_only_the_x_column_is_refused(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("x\n1.0\n2.0\n", encoding="utf-8")
+        with pytest.raises(IngestionError, match="y column"):
+            load_csv(path, "x")

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .asymptotics import AsymptoticContext, delta_sq, equivalence_class, gamma_coeff
 from .designs import DesignKind
-from .errors import FinpopError, IngestionError, ParameterError
+from .errors import FinpopError, InfeasibleError, IngestionError, ParameterError
 from .estimators import EstimatorKind, valid_pair
 from .functionals import (
     CORRELATION,
@@ -130,7 +130,9 @@ _POP_KEYS = dict.fromkeys(
 
 
 def _check_keys(what: str, node: dict, keys: dict) -> None:
-    """Refuse a JSON node with a field not in ``keys`` or without a required one."""
+    """Refuse a JSON node that is not an object or lacks or adds a field of ``keys``."""
+    if not isinstance(node, dict):
+        raise _UsageError(f"{what} must be a JSON object")
     unknown = set(node) - set(keys)
     if unknown:
         raise _UsageError(f"unknown {what} field(s): {sorted(unknown)}")
@@ -141,12 +143,8 @@ def _check_keys(what: str, node: dict, keys: dict) -> None:
 
 def _config_population(node: dict) -> Population:
     _check_keys("population", node, _POP_KEYS)
-    if "csv" in node:
-        if "y_columns" not in node:
-            raise _UsageError("population.y_columns is required with population.csv")
-        return load_csv(
-            node["csv"], node.get("x_column", "x"), node["y_columns"]
-        )
+    if "csv" in node:  # y_columns defaults to every column but x, as in load_csv
+        return load_csv(node["csv"], node.get("x_column", "x"), node.get("y_columns"))
     model = node.get("model")
     if model not in ("univariate", "bivariate"):
         raise _UsageError("population.model must be 'univariate' or 'bivariate'")
@@ -172,8 +170,6 @@ def _parse_config(path: str) -> ExperimentConfig:
         raise _UsageError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise _UsageError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise _UsageError("config must be a JSON object")
     _check_keys("config", doc, _CONFIG_KEYS)
     try:
         # a field left out keeps ExperimentConfig's default
@@ -185,6 +181,8 @@ def _parse_config(path: str) -> ExperimentConfig:
             values["baseline"] = values["cells"].index(target)
         values["population"] = _config_population(doc["population"])
         return ExperimentConfig(**values)
+    except InfeasibleError as exc:  # refused before any draw: a configuration problem
+        raise _UsageError(str(exc)) from None
     except (TypeError, ValueError) as exc:
         if isinstance(exc, _USAGE_ERRORS):
             raise
@@ -192,7 +190,6 @@ def _parse_config(path: str) -> ExperimentConfig:
 
 
 def _write_report_csvs(report: ExperimentReport, out_dir: Path, jackknife: bool) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     bc = ["bc_failures", "bc_mean", "bc_mse"] if jackknife else []
     tables = {
         "mse.csv": (
@@ -229,6 +226,7 @@ def _write_report_csvs(report: ExperimentReport, out_dir: Path, jackknife: bool)
 
 def _cmd_run(args) -> int:
     cfg = _parse_config(args.config)
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)  # a bad path fails before the run
     report = run_experiment(cfg)
     _write_report_csvs(report, Path(args.out_dir), cfg.jackknife)
     print(report.summary())

@@ -105,7 +105,7 @@ _RESID = 1e-15  # calibration residuals at which a converged PEML row stops at o
 _MAX_ITER = 200  # the most safeguarded Newton steps a PEML solve takes
 
 
-def peml_weights(d: np.ndarray, x_sample: np.ndarray, x_bar: float) -> np.ndarray:
+def peml_weights(d: np.ndarray, x_sample: np.ndarray, x_bar: float, *, _roots=None) -> np.ndarray:
     """Maximize sum d_i log c_i subject to sum c = 1 and sum c (x - x_bar) = 0.
 
     ``d`` is (n,) or (m, n), and so are the weights c returned: each row is
@@ -121,10 +121,13 @@ def peml_weights(d: np.ndarray, x_sample: np.ndarray, x_bar: float) -> np.ndarra
     A row stops at the first iterate lowering |psi| to within the tolerance
     whose residuals, |sum c - 1| = |lam psi| and |sum c x - x_bar| =
     |1 - x_bar lam| |psi| / max(1, |x_bar|), are at most 1e-15; a row that
-    never gets there stops at the first step that fails to lower |psi|.
+    never gets there stops at the first step that fails to lower |psi|.  The
+    rows' dual roots are appended to the list ``_roots`` if one is given.
     """
     dv = np.asarray(d, dtype=float)
-    c, _ = _peml_solve(dv[None, :] if dv.ndim == 1 else dv, x_sample, x_bar)
+    c, lam = _peml_solve(dv[None, :] if dv.ndim == 1 else dv, x_sample, x_bar)
+    if _roots is not None:
+        _roots.append(lam)
     return c if dv.ndim == 2 else c[0]
 
 
@@ -191,13 +194,13 @@ def _peml_solve(w, x_sample, x_bar, start=None, drop=None):
     row_lam, row_val = lam.copy(), np.abs(val)
     live = (val != 0) & ~settled(lam, row_val, tgt)
     for _ in range(_MAX_ITER):
+        if not live.any():
+            break
         if not live.all():
             best_lam[rows], best_val[rows] = row_lam, row_val
             rows, dt_a, u_a, tgt = rows[live], dt_a[live], u_a[live], tgt[live]
             blo, bhi, lam, val = blo[live], bhi[live], lam[live], val[live]
             curv, row_lam, row_val = curv[live], row_lam[live], row_val[live]
-        if not rows.size:
-            break
         above = val > 0  # psi decreases: the root lies above lam
         np.copyto(blo, lam, where=above)
         np.copyto(bhi, lam, where=~above)
@@ -270,10 +273,12 @@ def estimate_mean_rows(
     x_sample: np.ndarray,
     x_bar: float,
     h: np.ndarray,
+    roots: list | None = None,
 ) -> np.ndarray:
     """The (m, p) mean estimates of the columns of h, one row per row of
     design weights (m, n), row i weighting sample i: x_sample (m, n) and
-    h (m, n, p).  Undefined rows raise, named in ``rows``."""
+    h (m, n, p).  Undefined rows raise, named in ``rows``; ``roots`` is
+    ``peml_weights``'s list of PEML dual roots."""
     dh = _row_dots(weights, h)
     if kind in (EstimatorKind.HT, EstimatorKind.RHC_EST):
         return dh
@@ -289,7 +294,7 @@ def estimate_mean_rows(
         slope = _wls_slope(weights, x_sample, h, dsum)
         return dh / dsum[:, None] + slope * (x_bar - x_star)
     if kind is EstimatorKind.PEML:
-        return _row_dots(peml_weights(weights, x_sample, x_bar), h)
+        return _row_dots(peml_weights(weights, x_sample, x_bar, _roots=roots), h)
     raise CombinationError(f"unknown estimator {kind}")  # pragma: no cover
 
 
@@ -298,6 +303,7 @@ def estimate_mean(
     sample: SampleDraw,
     pop: Population,
     h_values: np.ndarray,
+    *, _roots: list | None = None,
 ) -> float | np.ndarray:
     """Estimate the population mean of h given its values at the sampled units.
 
@@ -317,7 +323,7 @@ def estimate_mean(
     # one sample is the one-row case of a batch
     w = np.atleast_2d(design_weights(sample, pop))
     x_s = np.atleast_2d(pop.x[sample.indices])
-    est = estimate_mean_rows(kind, w, x_s, pop.x_bar(), h[None] if one else h)
+    est = estimate_mean_rows(kind, w, x_s, pop.x_bar(), h[None] if one else h, _roots)
     if scalar:
         est = est[:, 0]
     if not one:

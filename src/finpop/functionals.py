@@ -219,17 +219,21 @@ def _check_cell(design: DesignKind, kind: EstimatorKind, f: Functional, pop: Pop
 
 
 def plug_in(
-    f: Functional, kind: EstimatorKind, sample: SampleDraw, pop: Population
+    f: Functional, kind: EstimatorKind, sample: SampleDraw, pop: Population, *, _roots=None
 ) -> float:
     """g of the estimated mean of h at the sampled units: a float, or (m,)
     for a batch of m samples, failing samples raising, named in ``rows``.
 
     Correlation and regression coefficients only admit the Hajek and PEML
-    plug-ins (the others can produce negative variance estimates).
+    plug-ins (the others can produce negative variance estimates).  A PEML
+    plug-in that returns appends its (m,) dual roots to the list ``_roots``.
     """
     _check_plug_in(f, kind)
-    h_s = f.h(pop.y[sample.indices])
-    return f.g(estimate_mean(kind, sample, pop, h_s))
+    h_s, found = f.h(pop.y[sample.indices]), []
+    value = f.g(estimate_mean(kind, sample, pop, h_s, _roots=found))
+    if _roots is not None:  # g may fail after the solve: a call that raises adds none
+        _roots += found
+    return value
 
 
 def population_value(f: Functional, pop: Population) -> float:

@@ -26,11 +26,12 @@ estimate or interval per row; one sample is their batch of one.
 delete-one replicate weights n/(n-1) d of the remaining units (Wolter 2007,
 ch. 4); Hajek, ratio, GREG and PEML are invariant to that factor and keep d.
 Row r n + i zeroes unit i of sample r, pi-based or RHC; a pass holds at most
-2**14 weight entries (one row if n > 2**14), but the full-sample plug-in takes
-the whole batch.  A PEML row, its sample's d and x less unit i, starts at the
-root of its sample, which the plug-in's solve returns, plus the root of the
-degree-12 Taylor series of its own dual about that root.  A failure names
-every sample with an undefined row.
+2**14 weight entries (one row if n > 2**14).  The full-sample plug-in takes
+the whole batch, or comes from the runner's.  A PEML row, its sample's d and
+x less unit i, starts at its sample's dual root plus the root of the
+degree-12 Taylor series of its own dual about that root; every row's start
+is taken before the first pass, 2**14 // 13 rows at a time.  A failure
+names every sample with an undefined row.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def confidence_interval(
 
 
 def jackknife_bc(
-    sample: SampleDraw, pop: Population, f: Functional, kind: EstimatorKind
+    sample: SampleDraw, pop: Population, f: Functional, kind: EstimatorKind, *, _plug_in=None
 ) -> float | np.ndarray:
     """Bias-corrected estimate  n g - (n-1) mean over i of g on the sample
     without unit i: a float, or (m,) for a batch of m samples.
@@ -198,17 +199,20 @@ def jackknife_bc(
     0, so row-wise estimator passes of a bounded number of rows give every
     leave-one-out estimate.  Exact for estimators linear in the per-unit
     terms; an undefined leave-one-out estimate aborts with the lowest flat
-    row's unit and names every sample that has one in ``rows``.
+    row's unit and names every sample that has one in ``rows``.  The runner
+    passes ``_plug_in``, the samples' full-sample estimates and PEML roots.
     """
     n = sample.n
     if n < 3:
         raise ParameterError("jackknifing needs at least 3 sampled units")
+    if _plug_in is None:  # a PEML plug-in appends its dual roots to roots
+        roots = [None]
+        _plug_in = plug_in(f, kind, sample, pop, _roots=roots), roots[-1]
+    full, lam = _plug_in
     idx = np.atleast_2d(sample.indices)  # one sample is a batch of one
     d = np.atleast_2d(design_weights(sample, pop))
     x_s, h, flat, x_bar = pop.x[idx], f.h(pop.y[idx]), np.arange(idx.size), pop.x_bar()
-    if kind is EstimatorKind.PEML:  # plug_in's solve, keeping its roots lam
-        c, lam = _peml_solve(d, x_s, x_bar)
-        full = f.g(_row_dots(c, h))
+    if kind is EstimatorKind.PEML:
         # row r n + i's psi at lam_r + z is, up to a factor, sum_k a_k z^k with
         # a_k = sum_{j != i} d~_j t_j (-t_j)^k, t_j = u_j / (1 + lam_r u_j):
         # sample r's power sums, taken one degree at a time, less unit i's term
@@ -218,8 +222,22 @@ def jackknife_bc(
         for k in range(_DEGREE + 1):
             sums[k] = term.sum(axis=1)
             term *= -t
-    else:
-        full = plug_in(f, kind, sample, pop)
+
+        def series_start(rows):  # lam_r + z, z by Newton steps from z = 0: the first
+            # -a_0 / a_1, the rest by Horner's rule; elementwise, the same bits in any pass
+            r, i = np.divmod(flat[rows], n)
+            a = np.vstack([own[r, i], np.broadcast_to(-t[r, i], (_DEGREE, r.size))])
+            a = sums[:, r] - np.multiply.accumulate(a)  # less unit i's own terms
+            with np.errstate(all="ignore"):  # a non-finite start falls back to 0
+                z = -a[0] / a[1]
+                for _ in range(_STEPS - 1):
+                    p, dp = a[-1], 0.0
+                    for a_k in a[-2::-1]:
+                        p, dp = p * z + a_k, dp * z + p
+                    z -= p / dp
+            return lam[r] + z
+
+        _, lam0, _ = rows_that_evaluate(series_start, idx.size, _DEGREE + 1)
     if kind in (EstimatorKind.HT, EstimatorKind.RHC_EST, EstimatorKind.PRODUCT):
         d = d * (n / (n - 1))  # the others are invariant to a common factor
 
@@ -228,19 +246,8 @@ def jackknife_bc(
         if kind is not EstimatorKind.PEML:
             w = np.where(np.arange(n) == i[:, None], 0.0, d[r])
             return f.g(estimate_mean_rows(kind, w, x_s[r], x_bar, h[r]))
-        a = np.vstack([own[r, i], np.broadcast_to(-t[r, i], (_DEGREE, r.size))])
-        a = sums[:, r] - np.multiply.accumulate(a)  # less unit i's own terms
-        # Newton steps on the polynomial from z = 0: the first is -a_0 / a_1, the
-        # rest take Horner's rule; all is elementwise, the same bits in any pass
-        with np.errstate(all="ignore"):  # a non-finite start falls back to 0
-            z = -a[0] / a[1]
-            for _ in range(_STEPS - 1):
-                p, dp = a[-1], 0.0
-                for a_k in a[-2::-1]:
-                    p, dp = p * z + a_k, dp * z + p
-                z -= p / dp
         s = slice(r[0], r[-1] + 1)  # the pass's samples: r ascends
-        return f.g(_row_dots(_peml_solve(d[s], x_s[s], x_bar, lam[r] + z, (r - r[0], i))[0], h[r]))
+        return f.g(_row_dots(_peml_solve(d[s], x_s[s], x_bar, lam0[rows], (r - r[0], i))[0], h[r]))
 
     kept, loo, failure = rows_that_evaluate(leave_out, idx.size, n)
     if failure is not None:

@@ -13,7 +13,8 @@ row r being what ``draw`` (the one-row case) gives for replicate r's
 substream.  Each cell evaluates all R replicates in one row-wise pass: one
 ``plug_in``, one ``variance_estimate``, one ``confidence_interval`` and,
 when asked for, one ``jackknife_bc`` over the rows, each pass bounded in
-memory by ``errors.rows_that_evaluate``.
+memory by ``errors.rows_that_evaluate``; the jackknife takes the plug-in's
+estimates and PEML dual roots.
 
 Replicates where an estimate is undefined (infeasible calibration, undefined
 correlation, ...) are dropped from that cell's moments and counted as
@@ -106,8 +107,8 @@ class ExperimentConfig:
             raise ParameterError("at least one of sample_sizes is required")
         if len(set(self.sample_sizes)) != len(self.sample_sizes):
             raise ParameterError("sample_sizes must be distinct")
-        if self.replicates < 1:
-            raise ParameterError("replicates must be at least 1")
+        if not 1 <= self.replicates < 2**32:  # each replicate index is one seed word
+            raise ParameterError(f"replicates must lie in [1, 2**32), got {self.replicates}")
         if self.seed < 0:
             raise ParameterError("seed must be a nonnegative integer")
         if not isinstance(self.ci_level, Real) or not 0 < self.ci_level < 1:
@@ -286,8 +287,9 @@ def _cell_result(
     for.  An undefined estimate counts against the estimate and the
     jackknife."""
     pop, f, kind, n = cfg.population, cell.functional, cell.estimator, batch.n
+    roots = []  # the PEML plug-in's dual roots, which the jackknife starts from
     ok, est, _ = rows_that_evaluate(
-        lambda rows: plug_in(f, kind, batch[rows], pop), cfg.replicates, n
+        lambda rows: plug_in(f, kind, batch[rows], pop, _roots=roots), cfg.replicates, n
     )
     estimated = batch if ok.size in (0, cfg.replicates) else batch[ok]
     lengths, covered = np.empty(0), 0
@@ -312,9 +314,11 @@ def _cell_result(
         ci_mean_length=float(np.mean(lengths)) if ci_count else nan,
         ci_sd_length=float(np.std(lengths, ddof=1)) if ci_count > 1 else nan,
     )
-    if cfg.jackknife:
+    if cfg.jackknife:  # on the estimates and roots the cell has: no solve again
+        lam = np.concatenate(roots) if roots else np.zeros_like(est)  # only PEML has roots
         _, bc, _ = rows_that_evaluate(
-            lambda rows: jackknife_bc(estimated[rows], pop, f, kind), ok.size, n
+            lambda r: jackknife_bc(estimated[r], pop, f, kind, _plug_in=(est[r], lam[r])),
+            ok.size, n,
         )
         result.bc_failures = cfg.replicates - bc.size
         result.bc_mean = float(np.mean(bc)) if bc.size else nan

@@ -104,7 +104,7 @@ class LinearModelSpec:
     ``alpha``, ``beta`` and ``sigma_eps`` may be scalars (one study
     coordinate) or equal-length sequences (one entry per coordinate).
     ``gamma_mean`` / ``gamma_sd`` parameterize the gamma distribution of the
-    size variable x.
+    size variable x, whose shape and scale must be positive and finite.
     """
 
     alpha: float | Sequence[float] = 500.0
@@ -115,6 +115,8 @@ class LinearModelSpec:
     alphas: np.ndarray = field(init=False, repr=False, compare=False)
     betas: np.ndarray = field(init=False, repr=False, compare=False)
     sigmas: np.ndarray = field(init=False, repr=False, compare=False)
+    gamma_shape: float = field(init=False, repr=False, compare=False)
+    gamma_scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = {"alphas": "alpha", "betas": "beta", "sigmas": "sigma_eps"}
@@ -126,6 +128,15 @@ class LinearModelSpec:
             raise ParameterError("sigma_eps must be nonnegative")
         if not (self.gamma_mean > 0 and self.gamma_sd > 0):
             raise ParameterError("gamma_mean and gamma_sd must be positive")
+        mean, sd = self.gamma_mean, self.gamma_sd
+        try:  # shape/scale from (mean, sd): mean = k*theta, var = k*theta^2
+            shape, scale = (mean / sd) ** 2, sd**2 / mean
+        except OverflowError:
+            shape = scale = np.inf
+        if not (0 < shape < np.inf and 0 < scale < np.inf):
+            raise ParameterError("gamma_mean and gamma_sd give a gamma shape or scale of 0 or inf")
+        object.__setattr__(self, "gamma_shape", shape)
+        object.__setattr__(self, "gamma_scale", scale)
         for k, arr in coords.items():
             arr = np.repeat(arr, d) if arr.size == 1 else arr
             arr.setflags(write=False)
@@ -165,10 +176,7 @@ def _generate(spec: LinearModelSpec, n_pop: int, seed: int) -> Population:
     if seed < 0:
         raise ParameterError("seed must be a nonnegative integer")
     rng = np.random.default_rng(seed)
-    # shape/scale from (mean, sd): mean = k*theta, var = k*theta^2
-    shape = (spec.gamma_mean / spec.gamma_sd) ** 2
-    scale = spec.gamma_sd**2 / spec.gamma_mean
-    x = rng.gamma(shape, scale, size=n_pop)
+    x = rng.gamma(spec.gamma_shape, spec.gamma_scale, size=n_pop)
     eps = rng.standard_normal(size=(n_pop, spec.d)) * spec.sigmas
     y = spec.alphas + np.outer(x, spec.betas) + eps
     return Population(x=x, y=y)

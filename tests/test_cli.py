@@ -58,8 +58,9 @@ class TestGen:
         [
             (["--alpha", "1", "2"], "1-coordinate"),
             (["--gamma-mean", "0", "--gamma-sd", "0"], "gamma_mean"),
+            (["--gamma-sd", "1e300"], "gamma shape or scale"),
         ],
-        ids=["univariate_with_two_alphas", "zero_gamma_parameters"],
+        ids=["univariate_with_two_alphas", "zero_gamma_parameters", "overflowing_gamma_scale"],
     )
     def test_rejects_what_a_run_config_rejects(self, tmp_path, capsys, flags, message):
         out = tmp_path / "d.csv"
@@ -209,8 +210,10 @@ class TestRun:
         assert "--threads" in err
         assert not (tmp_path / "t").exists()
 
-    def test_infeasible_rao_sampford_exits_2(self, tmp_path, capsys):
-        # n = 3 puts n x_i / sum(x) >= 1 for the large unit; n = 2 is feasible
+    def test_infeasible_rao_sampford_exits_1(self, tmp_path, capsys):
+        # n = 3 puts n x_i / sum(x) >= 1 for the large unit; n = 2 is feasible.
+        # The config refuses it before any draw: a usage error, not a failure
+        # of the computation
         pop_csv = tmp_path / "pop.csv"
         rows = "".join(f"{x},{i}.0\n" for i, x in enumerate([1.0] * 8 + [5.0]))
         pop_csv.write_text("x,y\n" + rows, encoding="utf-8")
@@ -224,9 +227,30 @@ class TestRun:
         code, _, err = run_cli(
             capsys, "run", "--config", str(cfg), "--out-dir", str(out_dir),
         )
-        assert code == 2
-        assert "infeasible" in err
+        assert code == 1
+        assert err.startswith("error:") and "infeasible" in err
         assert not out_dir.exists()
+
+    def test_uncreatable_out_dir_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # a directory under a regular file fails before any replicate runs
+        runs = []
+        monkeypatch.setattr("finpop.cli.run_experiment", runs.append)
+        (tmp_path / "p.csv").write_text("x,y\n", encoding="utf-8")
+        cfg = self.make_config(tmp_path)
+        code, _, err = run_cli(
+            capsys, "run", "--config", str(cfg), "--out-dir", str(tmp_path / "p.csv" / "sub"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "p.csv" in err
+        assert runs == []
+
+    @pytest.mark.parametrize("population", ["", 5, ["model"]], ids=repr)
+    def test_non_object_population_exits_1(self, tmp_path, capsys, population):
+        # one error line, not an AttributeError traceback
+        cfg = self.make_config(tmp_path, population=population)
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: population must be")
 
     def test_jackknife_below_three_units_exits_1(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path, sample_sizes=[2], jackknife=True)
@@ -296,11 +320,26 @@ class TestRun:
         assert code == 1
         assert err.startswith("error: ")
 
-    def test_csv_population_requires_y_columns(self, tmp_path, capsys):
-        cfg = self.make_config(tmp_path, population={"csv": "whatever.csv"})
-        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
-        assert code == 1
-        assert "y_columns" in err
+    def test_csv_population_defaults_to_every_column_but_x(self, tmp_path, capsys):
+        # as in load_csv, exact and asy: leaving y_columns out names z1 and z2
+        pop_csv = tmp_path / "pop.csv"
+        code, _, _ = run_cli(
+            capsys, "gen", "--model", "bivariate", "--n-pop", "40", "--seed", "5",
+            "--out", str(pop_csv),
+        )
+        assert code == 0
+        cells = [{"design": "srswor", "estimator": "hajek", "functional": "correlation"}]
+        outputs = []
+        for y_columns in ({}, {"y_columns": ["z1", "z2"]}):
+            population = {"csv": str(pop_csv), **y_columns}
+            cfg = self.make_config(tmp_path, population=population, cells=cells)
+            out_dir = tmp_path / f"out{len(outputs)}"
+            code, _, _ = run_cli(
+                capsys, "run", "--config", str(cfg), "--out-dir", str(out_dir),
+            )
+            assert code == 0
+            outputs.append([(out_dir / name).read_bytes() for name in ("mse.csv", "ci.csv")])
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("sizes", [[], [8, 8]], ids=repr)
     def test_empty_or_repeated_sample_sizes_exit_1(self, tmp_path, capsys, sizes):

@@ -31,6 +31,7 @@ from finpop import (
     valid_pair,
     variance_estimate,
 )
+from finpop import errors
 from finpop.estimators import _wls_slope, estimate_mean_rows
 from finpop.inference import supports_variance_estimate
 from conftest import drop_unit, random_population, stack
@@ -461,6 +462,21 @@ class TestJackknife:
                 want.append(bc)
             assert len(kept) >= m // 2
             assert jackknife_bc(stack(kept), pop, f, EstimatorKind.PEML).tolist() == want
+
+    @pytest.mark.parametrize("design", [DesignKind.SRSWOR, DesignKind.RHC], ids=str)
+    def test_peml_bits_do_not_depend_on_the_pass_size(self, design, benchmark_pop, monkeypatch):
+        # passes of one row, of seven and of 218 (the default) group the rows,
+        # and blocks of 5, 40 and 1260 rows their series starts, differently
+        n = 75
+        rng = np.random.default_rng(55)
+        batch = stack(draw(design, benchmark_pop, n, rng) for _ in range(12))
+        for f in (MEAN, VARIANCE):
+            want = jackknife_bc(batch, benchmark_pop, f, EstimatorKind.PEML)
+            for entries in (n, 7 * n):
+                with monkeypatch.context() as m:
+                    m.setattr(errors, "_PASS_ENTRIES", entries)
+                    got = jackknife_bc(batch, benchmark_pop, f, EstimatorKind.PEML)
+                assert got.tolist() == want.tolist()
 
     def test_every_failing_sample_of_a_batch_is_named(self):
         # samples 2 and 4 have no x above x_bar = 128/7 without unit 2

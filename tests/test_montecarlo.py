@@ -27,7 +27,7 @@ from finpop import (
 )
 from finpop.designs import draw
 from finpop.inference import supports_variance_estimate, variance_estimate
-from finpop import designs
+from finpop import designs, estimators, inference
 from finpop.montecarlo import _replicate_rng, _replicate_states, _State
 
 
@@ -256,6 +256,27 @@ class TestRunExperiment:
         assert res.bc_mse is not None and np.isfinite(res.bc_mse)
         assert res.bc_failures == 0
 
+    def test_a_peml_jackknife_cell_solves_its_full_samples_once(self, monkeypatch, benchmark_pop):
+        # the jackknife takes the plug-in's estimates and dual roots from the
+        # runner, so every solve after the plug-in's leaves a unit out
+        solves = []
+
+        def counted(w, x_sample, x_bar, start=None, drop=None):
+            solves.append("full" if drop is None else "leave-one-out")
+            return real(w, x_sample, x_bar, start, drop)
+
+        real = estimators._peml_solve
+        monkeypatch.setattr(estimators, "_peml_solve", counted)
+        monkeypatch.setattr(inference, "_peml_solve", counted)
+        for f in (MEAN, VARIANCE):
+            solves.clear()
+            cfg = ExperimentConfig(
+                population=benchmark_pop, cells=(Cell(DesignKind.SRSWOR, EstimatorKind.PEML, f),),
+                sample_sizes=(20,), replicates=30, seed=13, jackknife=True, baseline=None,
+            )
+            assert run_experiment(cfg).cells[0].bc_failures == 0
+            assert solves.count("full") == 1 and "leave-one-out" in solves
+
     def test_coverage_tracks_nominal_on_easy_case(self):
         rng = np.random.default_rng(62)
         x = rng.uniform(1.0, 2.0, size=400)
@@ -354,6 +375,16 @@ class TestRunExperiment:
         )
         assert cfg.sample_sizes == (5, 6) and (cfg.replicates, cfg.seed) == (10, 1)
         assert all(type(v) is int for v in (*cfg.sample_sizes, cfg.replicates, cfg.seed))
+
+    def test_replicates_of_2_32_or_more_are_refused(self):
+        # 2**32 replicates would ask numpy for 64 GiB of seed words; only the
+        # config is built here, nothing is run
+        cell = mean_cell(DesignKind.SRSWOR, EstimatorKind.HT)
+        cfg = dict(population=small_pop(), cells=(cell,), sample_sizes=(5,), seed=1)
+        for r in (2**32, 2**40):
+            with pytest.raises(ParameterError, match="replicates"):
+                ExperimentConfig(replicates=r, **cfg)
+        assert ExperimentConfig(replicates=2**32 - 1, **cfg).replicates == 2**32 - 1
 
     def test_infeasible_rao_sampford_size_fails_validation(self):
         # n = 2 is feasible, but n = 3 puts n x_i / sum(x) >= 1 for the last

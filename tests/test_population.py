@@ -110,6 +110,15 @@ class TestGeneration:
         with pytest.raises(ParameterError):
             generate_bivariate(default_univariate_spec(), 100, seed=0)
 
+    @pytest.mark.parametrize("mean,sd", [(1000.0, 1e300), (1e300, 1e-10), (1e-300, 1e10)])
+    def test_gamma_shape_or_scale_of_0_or_inf_is_refused(self, mean, sd):
+        # sd 1e300 overflows the scale sd^2 / mean (an OverflowError), mean /
+        # sd 1e310 the shape (mean / sd)^2, and the shape 1e-620 underflows
+        with pytest.raises(ParameterError, match="gamma"):
+            LinearModelSpec(gamma_mean=mean, gamma_sd=sd)
+        spec = LinearModelSpec(gamma_mean=1e150, gamma_sd=1e150)
+        assert (spec.gamma_shape, spec.gamma_scale) == (1.0, 1e150)
+
     @pytest.mark.parametrize("n_pop,seed,field", [
         (200.9, 1, "n_pop"), (200, "3", "seed"), (200, True, "seed"), (200, -1, "seed"),
     ], ids=repr)

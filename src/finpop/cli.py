@@ -19,7 +19,10 @@ import csv
 import json
 import sys
 from dataclasses import MISSING, fields, replace
+from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from .asymptotics import AsymptoticContext, delta_sq, equivalence_class, gamma_coeff
 from .designs import DesignKind
@@ -66,11 +69,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value: float) -> str:
+def _fmt(value: float, spec: str = ".6g") -> str:
     # squash float dust so exact zeros print as zeros
-    if abs(value) < 5e-13:
-        value = 0.0
-    return f"{value:.6g}"
+    return format(0.0 if abs(value) < 5e-13 else value, spec)
 
 
 def _lookup(what: str, choices: dict, name: str):
@@ -98,10 +99,6 @@ def _generate(model, n_pop, seed, values: dict) -> Population:
     spec = replace(base, **{_SPEC_KEYS[k]: v for k, v in values.items() if v is not None})
     gen = generate_univariate if model == "univariate" else generate_bivariate
     return gen(spec, n_pop, seed)
-
-
-def _load_pop(args) -> Population:
-    return load_csv(args.pop, args.x_column, args.y_columns.split(",") if args.y_columns else None)
 
 
 # ---------------------------------------------------------------- gen
@@ -166,8 +163,6 @@ def _config_cell(node: dict) -> Cell:
 def _parse_config(path: str) -> ExperimentConfig:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise _UsageError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise _UsageError(f"config is not valid JSON: {exc}") from None
     _check_keys("config", doc, _CONFIG_KEYS)
@@ -238,19 +233,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    pop = _load_pop(args)
-    design = _lookup("design", _DESIGNS, args.design)
-    kind = _lookup("estimator", _ESTIMATORS, args.estimator)
-    f = _lookup("functional", _FUNCTIONALS, args.functional)
-    summary = exact_moments(design, pop, args.n, kind, f)
-    print(f"design:       {design}")
-    print(f"estimator:    {kind}")
-    print(f"functional:   {f.name}")
+    pop = load_csv(args.pop, args.x_column, args.y_columns)
+    summary = exact_moments(args.design, pop, args.n, args.estimator, args.functional)
+    print(f"design:       {args.design}")
+    print(f"estimator:    {args.estimator}")
+    print(f"functional:   {args.functional.name}")
     print(f"support size: {summary.support_size}")
     print(f"truth:        {_fmt(summary.truth)}")
     print(f"expectation:  {_fmt(summary.expectation)}")
-    bias = summary.bias
-    print(f"bias:         {0.0 if abs(bias) < 5e-13 else bias:.12f}")
+    print(f"bias:         {_fmt(summary.bias, '.12f')}")
     print(f"mse:          {_fmt(summary.mse)}")
     return 0
 
@@ -259,9 +250,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_asy(args) -> int:
-    pop = _load_pop(args)
-    f = _lookup("functional", _FUNCTIONALS, args.functional)
-    ctx = AsymptoticContext.compute(pop, f, args.n)
+    pop = load_csv(args.pop, args.x_column, args.y_columns)
+    ctx = AsymptoticContext.compute(pop, args.functional, args.n)
     print(f"N={pop.n_units} n={args.n} lambda={_fmt(ctx.lambda_hat)}")
     print(f"gamma = {_fmt(ctx.gamma)}   n*gamma = {_fmt(args.n * ctx.gamma)}")
     print(f"phi   = {_fmt(ctx.phi)}")
@@ -304,40 +294,46 @@ def _build_parser() -> _Parser:
     run.add_argument("--out-dir", default=".")
     run.set_defaults(func=_cmd_run)
 
-    exact = sub.add_parser("exact", help="exact design moments on a tiny population")
-    exact.add_argument("--design", required=True)
-    exact.add_argument("--estimator", required=True)
-    exact.add_argument("--functional", required=True)
-    exact.add_argument("--n", type=int, required=True)
-    exact.add_argument("--pop", required=True)
-    exact.add_argument("--x-column", default="x")
-    exact.add_argument("--y-columns", default=None)
+    # exact and asy read a population; names convert to their entries as
+    # argparse reads them, and an unknown one is a usage error
+    pop = argparse.ArgumentParser(add_help=False)
+    pop.add_argument("--pop", required=True)
+    pop.add_argument(
+        "--functional", type=partial(_lookup, "functional", _FUNCTIONALS), required=True
+    )
+    pop.add_argument("--n", type=int, required=True)
+    pop.add_argument("--x-column", default="x")
+    # an empty --y-columns keeps load_csv's default, every column but x
+    pop.add_argument("--y-columns", type=lambda names: names.split(",") if names else None)
+
+    exact = sub.add_parser(
+        "exact", parents=[pop], help="exact design moments on a tiny population"
+    )
+    exact.add_argument("--design", type=partial(_lookup, "design", _DESIGNS), required=True)
+    exact.add_argument(
+        "--estimator", type=partial(_lookup, "estimator", _ESTIMATORS), required=True
+    )
     exact.set_defaults(func=_cmd_exact)
 
-    asy = sub.add_parser("asy", help="asymptotic diagnostics for a population")
-    asy.add_argument("--pop", required=True)
-    asy.add_argument("--functional", required=True)
-    asy.add_argument("--n", type=int, required=True)
-    asy.add_argument("--x-column", default="x")
-    asy.add_argument("--y-columns", default=None)
-    asy.set_defaults(func=_cmd_asy)
-
+    sub.add_parser(
+        "asy", parents=[pop], help="asymptotic diagnostics for a population"
+    ).set_defaults(func=_cmd_asy)
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
+        args = _PARSER.parse_args(argv)
+        # float errors fail the command with one line, not warnings and an inf or nan
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FinpopError as exc:
+    except (FinpopError, ArithmeticError, MemoryError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 2
 

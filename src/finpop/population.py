@@ -196,6 +196,18 @@ def generate_bivariate(spec: LinearModelSpec, n_pop: int, seed: int) -> Populati
     return _generate(spec, n_pop, seed)
 
 
+def _cell(path: Path, row_no: int, row: list[str], idx: int, name: str) -> float:
+    """Cell ``idx`` of data row ``row_no`` (column ``name``) as a float."""
+    if idx >= len(row):
+        raise IngestionError(f"{path}: row {row_no}: missing value for column {name!r}")
+    try:
+        return float(row[idx])
+    except ValueError:
+        raise IngestionError(
+            f"{path}: row {row_no}, column {name!r}: not a number ({row[idx]!r})"
+        ) from None
+
+
 def load_csv(
     path: str | Path, x_column: str, y_columns: Sequence[str] | None = None
 ) -> Population:
@@ -226,30 +238,16 @@ def load_csv(
         xs: list[float] = []
         ys: list[list[float]] = []
         for row_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
+            if not any(cell.strip() for cell in row):
                 continue
-
-            def cell(idx: int, name: str) -> float:
-                if idx >= len(row):
-                    raise IngestionError(
-                        f"{path}: row {row_no}: missing value for column {name!r}"
-                    )
-                try:
-                    return float(row[idx])
-                except ValueError:
-                    raise IngestionError(
-                        f"{path}: row {row_no}, column {name!r}: "
-                        f"not a number ({row[idx]!r})"
-                    ) from None
-
-            xv = cell(xi, x_column)
+            xv = _cell(path, row_no, row, xi, x_column)
             if xv <= 0:
                 raise IngestionError(
                     f"{path}: row {row_no}, column {x_column!r}: "
                     f"size value must be positive, got {xv}"
                 )
             xs.append(xv)
-            ys.append([cell(j, name) for j, name in zip(yi, y_columns)])
+            ys.append([_cell(path, row_no, row, j, name) for j, name in zip(yi, y_columns)])
     if len(xs) < 2:
         raise IngestionError(f"{path}: need at least 2 data rows, got {len(xs)}")
     return Population(x=np.array(xs), y=np.array(ys))

@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finpop
 from finpop import load_csv
 from finpop.cli import main
 
@@ -341,6 +347,66 @@ class TestRun:
             outputs.append([(out_dir / name).read_bytes() for name in ("mse.csv", "ci.csv")])
         assert outputs[0] == outputs[1]
 
+    def test_baseline_given_as_a_cell_is_that_cell(self, tmp_path, capsys):
+        rhc = {"design": "rhc", "estimator": "rhc", "functional": "mean"}
+        outputs = []
+        for baseline in (2, rhc):
+            cfg = self.make_config(tmp_path, baseline=baseline)
+            out_dir = tmp_path / f"out{len(outputs)}"
+            code, _, _ = run_cli(
+                capsys, "run", "--config", str(cfg), "--out-dir", str(out_dir),
+            )
+            assert code == 0
+            outputs.append([(out_dir / n).read_bytes() for n in ("mse.csv", "re.csv", "ci.csv")])
+        assert outputs[0] == outputs[1]
+
+    def test_baseline_cell_must_be_configured(self, tmp_path, capsys):
+        ht = {"design": "srswor", "estimator": "ht", "functional": "mean"}
+        cfg = self.make_config(tmp_path, baseline=ht)
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 1
+        assert err == "error: baseline cell is not among the configured cells\n"
+
+    @pytest.mark.parametrize("text", [None, "{"], ids=["missing", "not_json"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, text):
+        # a missing config follows the rule for every unreadable file
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(path) in err if text is None else "config is not valid JSON" in err
+
+    @pytest.mark.parametrize("population, message", [
+        ({"n_pop": 60, "seed": 2}, "model must be 'univariate' or 'bivariate'"),
+        ({"model": "trivariate", "n_pop": 60, "seed": 2},
+         "model must be 'univariate' or 'bivariate'"),
+        ({"model": "univariate", "seed": 2}, "n_pop is required with population.model"),
+        ({"model": "univariate", "n_pop": 60}, "seed is required with population.model"),
+    ], ids=["no_model", "unknown_model", "no_n_pop", "no_seed"])
+    def test_synthetic_population_needs_model_size_and_seed(
+        self, tmp_path, capsys, population, message
+    ):
+        cfg = self.make_config(tmp_path, population=population)
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 1
+        assert err == f"error: population.{message}\n"
+
+    def test_zero_subject_mse_gives_nan_relative_efficiency(self, tmp_path, capsys):
+        # y = 0 on every unit: every estimate and the truth are exactly 0
+        pop_csv = tmp_path / "zero.csv"
+        rows = "".join(f"{1 + i % 3}.0,0.0\n" for i in range(30))
+        pop_csv.write_text("x,y\n" + rows, encoding="utf-8")
+        cfg = self.make_config(tmp_path, population={"csv": str(pop_csv)})
+        out_dir = tmp_path / "zero"
+        code, _, _ = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 0
+        with (out_dir / "mse.csv").open() as fh:
+            assert [r["mse"] for r in csv.DictReader(fh)] == ["0.0"] * 3
+        with (out_dir / "re.csv").open() as fh:
+            assert [r["re"] for r in csv.DictReader(fh)] == ["nan", "nan"]
+
     @pytest.mark.parametrize("sizes", [[], [8, 8]], ids=repr)
     def test_empty_or_repeated_sample_sizes_exit_1(self, tmp_path, capsys, sizes):
         cfg = self.make_config(tmp_path, sample_sizes=sizes)
@@ -415,3 +481,68 @@ class TestUsage:
         assert code == 1
         assert err.startswith("error:") and str(out) in err
         assert "Traceback" not in err
+
+
+def run_capped(argv, cwd):
+    """Run ``argv`` in a child process whose address space is capped at 1 GiB,
+    with this finpop importable; returns the completed process."""
+    def cap():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        limit = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(finpop.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120, preexec_fn=cap)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("entry", ["gen", "run"])
+    def test_an_allocation_the_host_refuses_exits_2(self, tmp_path, entry):
+        # 2**40 units ask numpy for 8 TiB, which the capped child cannot map
+        if entry == "gen":
+            args = ["gen", "--model", "univariate", "--n-pop", str(2**40), "--seed", "1",
+                    "--out", "p.csv"]
+        else:
+            doc = {"population": {"model": "univariate", "n_pop": 2**40, "seed": 1},
+                   "cells": [{"design": "srswor", "estimator": "ht", "functional": "mean"}],
+                   "sample_sizes": [3], "replicates": 5, "seed": 1}
+            (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+            args = ["run", "--config", "config.json"]
+        proc = run_capped(["-m", "finpop.cli", *args], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("computation failed: Unable to allocate")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["gen", "asy", "run"])
+    def test_an_overflow_exits_2_with_one_line(self, tmp_path, capsys, command):
+        # finite values whose products or squares overflow a float: numpy
+        # warnings used to precede an error line, a traceback or an inf MSE
+        path = tmp_path / "big.csv"
+        path.write_text("x,y\n" + "".join(f"{i}.0,{i}e300\n" for i in range(1, 7)),
+                        encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "population": {"csv": str(path)}, "sample_sizes": [3], "replicates": 5, "seed": 1,
+            "cells": [{"design": "srswor", "estimator": "ht", "functional": "mean"}],
+        }), encoding="utf-8")
+        argv = {
+            "gen": ["gen", "--model", "univariate", "--n-pop", "30", "--seed", "1",
+                    "--out", str(tmp_path / "p.csv"), "--alpha", "1e308", "--beta", "1e308"],
+            "asy": ["asy", "--pop", str(path), "--functional", "mean", "--n", "2"],
+            "run": ["run", "--config", str(config), "--out-dir", str(tmp_path / "out")],
+        }[command]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("computation failed: overflow") and err.count("\n") == 1
+
+    def test_fuzzed_flags_and_configs_keep_the_exit_code_contract(self, tmp_path):
+        # every case exits 0, 1 or 2: a success prints nothing on stderr and
+        # a failure one line, never a traceback; the cases are in cli_fuzz.py
+        proc = run_capped([str(Path(__file__).with_name("cli_fuzz.py")), "7", str(tmp_path)],
+                          tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["bad"] == []
+        assert result["cases"] > 400 and set(result["exits"]) == {"0", "1", "2"}

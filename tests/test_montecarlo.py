@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,10 @@ from finpop import (
     VARIANCE,
     confidence_interval,
     default_bivariate_spec,
+    default_univariate_spec,
     empirical_mse,
     generate_bivariate,
+    generate_univariate,
     jackknife_bc,
     plug_in,
     population_value,
@@ -28,7 +33,9 @@ from finpop import (
 from finpop.designs import draw
 from finpop.inference import supports_variance_estimate, variance_estimate
 from finpop import designs, estimators, inference
-from finpop.montecarlo import _replicate_rng, _replicate_states, _State
+from finpop.montecarlo import (
+    CellResult, ExperimentReport, _replicate_rng, _replicate_states, _State,
+)
 
 
 def small_pop():
@@ -525,3 +532,45 @@ class TestBatchedReplicates:
             replicates=self.REPLICATES, seed=32, jackknife=jackknife,
         )
         self.check(cfg)
+
+
+def test_summary_marks_flagged_cells_and_prints_bc_mse():
+    nan = float("nan")
+    common = dict(
+        cell=mean_cell(DesignKind.SRSWOR, EstimatorKind.HT), n=5, truth=1.0, replicates=10,
+        mean_estimate=1.0, mse=0.5, ci_count=0, coverage=nan, ci_mean_length=nan,
+        ci_sd_length=nan,
+    )
+    report = ExperimentReport(seed=1, replicates=10, cells=[
+        CellResult(failures=6, bc_failures=0, bc_mean=1.0, bc_mse=0.25, **common),
+        CellResult(failures=5, **common),  # half the replicates is not more than half
+    ])
+    flagged, plain = report.summary().splitlines()[3:]
+    assert flagged.endswith("fail=6 FLAGGED bc_mse=0.25")
+    assert plain.endswith("fail=5")
+
+
+def test_every_validated_config_runs_to_the_end():
+    """Robustness sweep: each one-cell config over three N=40 populations,
+    every design, estimator and functional kind, six sample sizes and the
+    jackknife on and off is refused by ExperimentConfig or runs to the end
+    (a numpy warning fails it too, as everywhere in this suite)."""
+    uni = generate_univariate(default_univariate_spec(), 40, 1)
+    tied = Population(x=np.r_[1.0, np.full(38, 2.0), 3.0], y=uni.y)  # 38 tied x values
+    pops = [uni, generate_bivariate(default_bivariate_spec(), 40, 1), tied]
+    functionals = [MEAN, VARIANCE, CORRELATION, regression_coef(0, 1)]
+    outcomes = Counter()
+    for pop, design, kind, f, n, jackknife in product(
+        pops, DesignKind, EstimatorKind, functionals, (2, 3, 5, 20, 38, 39), (False, True)
+    ):
+        try:
+            cfg = ExperimentConfig(
+                population=pop, cells=[Cell(design, kind, f)], sample_sizes=[n],
+                replicates=20, seed=1, jackknife=jackknife,
+            )
+        except FinpopError:
+            outcomes["refused"] += 1
+            continue
+        run_experiment(cfg)
+        outcomes["ran"] += 1
+    assert outcomes == {"refused": 3066, "ran": 966}

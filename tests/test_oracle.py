@@ -1,4 +1,6 @@
 import re
+from collections import Counter
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from finpop import designs, oracle
 from finpop import (
     CORRELATION,
+    VARIANCE,
     AsymptoticContext,
     DesignKind,
     EnumerationTooLargeError,
@@ -15,11 +18,15 @@ from finpop import (
     MEAN,
     ParameterError,
     Population,
+    default_bivariate_spec,
+    default_univariate_spec,
     delta_sq,
     empirical_mse,
     enumerate_design,
     exact_moments,
     exact_vs_formula,
+    generate_bivariate,
+    generate_univariate,
     plug_in,
     population_value,
     regression_coef,
@@ -170,3 +177,23 @@ class TestExactVsFormula:
         n_mse = n * empirical_mse(np.concatenate(ests), truth)
         d2 = delta_sq(6, AsymptoticContext.compute(pop, MEAN, n))
         assert abs(n_mse - d2) / d2 < 0.15
+
+
+def test_every_cell_gives_a_result_or_a_finpop_error():
+    """Robustness sweep over three N=9 populations (one with 7 tied x
+    values), every design, estimator and functional kind and five sample
+    sizes: nothing but a result or a FinpopError comes out."""
+    uni = generate_univariate(default_univariate_spec(), 9, 1)
+    tied = Population(x=np.r_[1.0, np.full(7, 2.0), 3.0], y=uni.y)
+    pops = [uni, generate_bivariate(default_bivariate_spec(), 9, 1), tied]
+    outcomes = Counter()
+    for pop, design, kind, f, n in product(
+        pops, DesignKind, EstimatorKind, [MEAN, VARIANCE, CORRELATION, regression_coef(0, 1)],
+        (2, 3, 4, 7, 8),
+    ):
+        try:
+            exact_moments(design, pop, n, kind, f)
+            outcomes["result"] += 1
+        except FinpopError:
+            outcomes["refused"] += 1
+    assert outcomes == {"result": 336, "refused": 1344}

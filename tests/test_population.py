@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,25 @@ class TestCsv:
         path.write_text("x\n1.0\n2.0\n", encoding="utf-8")
         with pytest.raises(IngestionError, match="y column"):
             load_csv(path, "x")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "file is empty"),
+        ("x,y\n1.0,2.0\n", "need at least 2 data rows, got 1"),
+        ("x,y\n1.0,2.0\n2.0\n", "row 2: missing value for column 'y'"),
+    ], ids=["empty", "one_data_row", "short_row"])
+    def test_unusable_files_are_refused_by_name(self, tmp_path, text, message):
+        path = tmp_path / "pop.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(IngestionError, match=f"^{re.escape(str(path))}: {message}"):
+            load_csv(path, "x")
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("x,y\n1.0,2.0\n\n , \n3.0,4.0\n\n5.0,oops\n", encoding="utf-8")
+        # messages number rows as in the file, blank ones included
+        with pytest.raises(IngestionError, match="row 6, column 'y'"):
+            load_csv(path, "x")
+        path.write_text("x,y\n1.0,2.0\n\n , \n3.0,4.0\n\n", encoding="utf-8")
+        pop = load_csv(path, "x")
+        np.testing.assert_array_equal(pop.x, [1.0, 3.0])
+        np.testing.assert_array_equal(pop.y[:, 0], [2.0, 4.0])

@@ -221,9 +221,17 @@ def _write_report_csvs(report: ExperimentReport, out_dir: Path, jackknife: bool)
 
 def _cmd_run(args) -> int:
     cfg = _parse_config(args.config)
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)  # a bad path fails before the run
-    report = run_experiment(cfg)
-    _write_report_csvs(report, Path(args.out_dir), cfg.jackknife)
+    out_dir = Path(args.out_dir)
+    made = [level for level in (out_dir, *out_dir.parents) if not level.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)  # a bad path fails before the run
+    try:
+        report = run_experiment(cfg)
+    except BaseException:  # a failed run leaves behind no directory that it made
+        for level in made:  # innermost first, each while nothing else has filled it
+            if not any(level.iterdir()):
+                level.rmdir()
+        raise
+    _write_report_csvs(report, out_dir, cfg.jackknife)
     print(report.summary())
     print(f"\nwrote mse.csv, re.csv, ci.csv to {args.out_dir}")
     return 0

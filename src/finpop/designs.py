@@ -412,18 +412,6 @@ def _groupings(
     return np.concatenate(layouts), orders, np.concatenate(which)
 
 
-def _count_groupings(N: int, sizes: list[int]) -> int:
-    """The number of partitions of N units into unlabeled blocks of these
-    sizes: the multinomial coefficient over the orderings of equal sizes."""
-    total, remaining = 1, N
-    for s in sizes:
-        total *= comb(remaining, s)
-        remaining -= s
-    for s in set(sizes):
-        total //= factorial(sizes.count(s))
-    return total
-
-
 def _skeleton(build, N: int, n: int, entries: int):
     """``build(N, n)``, from its one-entry cache when the skeleton holds at
     most ``_FULL_TABLE`` index entries, else built afresh and not kept."""
@@ -516,7 +504,9 @@ def _enumerate_rhc(pop: Population, n: int) -> tuple[SampleDraw, np.ndarray]:
     selection factor per group, multiplied in group order."""
     N = pop.n_units
     sizes = rhc_group_sizes(N, n).tolist()
-    n_groupings, per_grouping = _count_groupings(N, sizes), prod(sizes)
+    # partitions into unlabeled blocks of these sizes: N! / (prod s_i! prod c_s!), c_s of size s
+    n_groupings = factorial(N) // prod(map(factorial, [*sizes, *map(sizes.count, set(sizes))]))
+    per_grouping = prod(sizes)
     n_outcomes = n_groupings * per_grouping
     if n_outcomes > ENUMERATION_CAP:
         raise EnumerationTooLargeError(

@@ -70,8 +70,6 @@ def rows_that_evaluate(evaluate, m: int, width: int = 1):
             else:
                 kept.append(rows)
                 break
-    if len(values) == 1:  # one run of rows: its values need no copy
-        return kept[0], values[0], failure
     kept, values = [np.empty(0, dtype=int), *kept], [np.empty(0), *values]
     return np.concatenate(kept), np.concatenate(values), failure
 

@@ -293,9 +293,7 @@ def estimate_mean_rows(
         x_star = _row_dots(weights, x_sample)[:, None] / dsum[:, None]
         slope = _wls_slope(weights, x_sample, h, dsum)
         return dh / dsum[:, None] + slope * (x_bar - x_star)
-    if kind is EstimatorKind.PEML:
-        return _row_dots(peml_weights(weights, x_sample, x_bar, _roots=roots), h)
-    raise CombinationError(f"unknown estimator {kind}")  # pragma: no cover
+    return _row_dots(peml_weights(weights, x_sample, x_bar, _roots=roots), h)  # PEML
 
 
 def estimate_mean(

@@ -4,9 +4,9 @@ lengths and coverage for a grid of (design, estimator, functional) cells.
 Every replicate draws one sample per design present in the grid, from a
 dedicated random substream derived by mixing (seed, sample size, design id,
 replicate index) through ``numpy.random.SeedSequence``, whose arithmetic a
-run repeats for all its substreams in one vector pass; all cells sharing a
-design evaluate the identical draw.  Reports are therefore pure functions of
-the configuration, independent of execution order.
+run repeats bit for bit, for values of any size, in one vector pass; all
+cells sharing a design evaluate the identical draw.  Reports are therefore
+pure functions of the configuration, independent of execution order.
 
 For each sample size each design is drawn once, as one batch of R rows,
 row r being what ``draw`` (the one-row case) gives for replicate r's
@@ -25,6 +25,7 @@ its rows in ``FinpopError.rows``, and the rest of the pass runs again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import nan
 from numbers import Real
 
@@ -58,6 +59,7 @@ _DESIGN_ID = {
     DesignKind.RAO_SAMPFORD: 2,
     DesignKind.RHC: 3,
 }
+_OTHERS = [np.flatnonzero(np.arange(4) != src) for src in range(5)]  # the pool words but src
 
 
 @dataclass(frozen=True)
@@ -232,12 +234,13 @@ def _replicate_rng(seed: int, n: int, design: DesignKind, replicate: int):
     return np.random.Generator(np.random.PCG64(ss))
 
 
-# the successive hash constants of numpy's SeedSequence (bit_generator.pyx):
-# 16 hashes mix four entropy words into its pool, 8 more give its output
-_HASH_MIX, _HASH_OUT = (
-    np.array([a * pow(m, k, 2**32) % 2**32 for k in range(count + 1)], np.uint32)[:, None]
-    for a, m, count in ((0x43B0D7E5, 0x931E8875, 16), (0x8B51F9DD, 0x58F38DED, 8))
-)
+@cache
+def _hash_constants(a: int, m: int, count: int) -> np.ndarray:
+    """The successive hash constants a m**k mod 2**32, k = 0..count, of
+    numpy's SeedSequence (bit_generator.pyx), as a read-only column."""
+    consts = np.array([a * pow(m, k, 2**32) % 2**32 for k in range(count + 1)], np.uint32)
+    consts.setflags(write=False)
+    return consts[:, None]
 
 
 def _hash(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -258,25 +261,29 @@ class _State(np.random.bit_generator.ISeedSequence):
 
 def _replicate_states(seed: int, sizes, designs, R: int) -> np.ndarray:
     """The (S, D, R, 4) PCG64 seeds of ``_replicate_rng`` for every (n, design,
-    r) of a run; while every value fits in one uint32 word, one vector pass
-    repeats the uint32 arithmetic of ``SeedSequence``'s ``generate_state``."""
-    ids = [_DESIGN_ID[d] for d in designs]
-    if max(seed, *sizes, R - 1) >= 2**32:  # a value spans several words
-        keys = [(seed, n, d, r) for n in sizes for d in ids for r in range(R)]
-        states = [np.random.SeedSequence(k).generate_state(4, np.uint64) for k in keys]
-        return np.array(states, np.uint64).reshape(len(sizes), len(ids), R, 4)
-    words = np.empty((4, len(sizes), len(ids), R), np.uint32)
-    words[0], words[1], words[2], words[3] = (
-        seed, np.reshape(sizes, (-1, 1, 1)), np.reshape(ids, (-1, 1)), np.arange(R))
-    pool = _hash(words.reshape(4, -1), _HASH_MIX[:5])
-    for src in range(4):  # SeedSequence's mix of each word into the three others
-        dst = [k for k in range(4) if k != src]
-        h = _hash(pool[src], _HASH_MIX[4 + 3 * src : 8 + 3 * src])
+    r) of a run: a vector pass of ``SeedSequence``'s uint32 arithmetic on the
+    words of [seed, n, design id, r], whose 8 output words pair little-endian."""
+    seed_words, *n_words = (  # little-endian uint32 words, as SeedSequence splits a value
+        [(v >> b) % 2**32 for b in range(0, max(v.bit_length(), 1), 32)] for v in (seed, *sizes))
+    if len({len(w) for w in n_words}) > 1:  # only with N >= 2**32 units: a pass per n
+        return np.concatenate([_replicate_states(seed, [n], designs, R) for n in sizes])
+    entropy = [*seed_words, *np.transpose(n_words)[:, :, None, None],
+               np.array([_DESIGN_ID[d] for d in designs])[:, None], np.arange(R)]
+    words = np.empty((len(entropy), len(sizes), len(designs), R), np.uint32)
+    for k, word in enumerate(entropy):
+        words[k] = word
+    pool = words.reshape(len(entropy), -1)  # its first four rows, hashed, are the pool
+    consts = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * len(entropy))  # INIT_A, MULT_A
+    pool[:4] = _hash(pool[:4], consts[:5])
+    for src in range(len(entropy)):  # each word into the pool words other than itself,
+        dst = _OTHERS[min(src, 4)]
+        at = 4 * src + max(4 - src, 0)  # by hashes 4 + 3 src on, and 4 src on past the pool
+        h = _hash(pool[src], consts[at : at + len(dst) + 1])
         m = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * h
         pool[dst] = m ^ (m >> 16)
-    out = _hash(np.tile(pool, (2, 1)), _HASH_OUT)  # 8 uint32 words, little-endian pairs
-    out = np.ascontiguousarray(out.T, "<u4").view("<u8").astype(np.uint64)
-    return out.reshape(*words.shape[1:], 4)
+    out = _hash(np.tile(pool[:4], (2, 1)), _hash_constants(0x8B51F9DD, 0x58F38DED, 8))
+    out = np.ascontiguousarray(out.T, "<u4").view("<u8").astype(np.uint64, copy=False)
+    return out.reshape(len(sizes), len(designs), R, 4)
 
 
 def _cell_result(

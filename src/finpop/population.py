@@ -260,6 +260,4 @@ def write_csv(pop: Population, path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", *y_columns])
-        for i in range(pop.n_units):
-            writer.writerow([repr(float(pop.x[i]))]
-                            + [repr(float(v)) for v in pop.y[i]])
+        writer.writerows([x, *y] for x, y in zip(pop.x.tolist(), pop.y.tolist()))

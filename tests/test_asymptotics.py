@@ -122,6 +122,14 @@ class TestDeltaSq:
             with pytest.raises(DegenerateError):
                 delta_sq(cid, ctx)
 
+    def test_zero_phi_is_refused_by_classes_6_and_7(self):
+        # x = 1, 1, 4 at n = 2: phi = 2 - (2/3) * 6 / 2 = 0 exactly
+        ctx = mean_context([1.0, 1.0, 4.0], [1.0, 2.0, 3.0], 2)
+        assert ctx.phi == 0.0
+        for cid in (6, 7):
+            with pytest.raises(DegenerateError, match="phi"):
+                delta_sq(cid, ctx)
+
     def test_bad_class_id(self):
         ctx = mean_context([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 2)
         with pytest.raises(ParameterError):
@@ -204,6 +212,15 @@ class TestC6:
         m = MomentSummary.from_values(x)
         assert m.mu1 == pytest.approx(5.0, rel=0.01)
         assert check_c6(m) in (True, False)  # defined for non-degenerate x
+
+    @pytest.mark.parametrize("make", [
+        lambda: MomentSummary(mu_m1=0.5, mu1=0.0, mu2=4.0, mu3=8.0),
+        lambda: MomentSummary(mu_m1=-0.5, mu1=2.0, mu2=4.0, mu3=8.0),
+        lambda: MomentSummary.from_values([1.0, 0.0, 2.0]),
+    ], ids=["mu1", "mu_m1", "from_values"])
+    def test_non_positive_moments_are_refused(self, make):
+        with pytest.raises(ParameterError, match="positive"):
+            make()
 
     def test_cauchy_schwarz_guard(self):
         with pytest.raises(ParameterError):

@@ -250,6 +250,22 @@ class TestRun:
         assert err.startswith("error:") and "p.csv" in err
         assert runs == []
 
+    @pytest.mark.parametrize("existing", [[], ["out"], ["out", "out/deep"]],
+                             ids=["none", "out", "out-deep"])
+    def test_a_failed_run_removes_only_the_directories_it_made(
+        self, tmp_path, capsys, existing
+    ):
+        # y values near 1e300 overflow once the run squares them: exit 2
+        # after out/deep was made, and the levels made for the run go again
+        for level in existing:
+            (tmp_path / level).mkdir()
+        cfg = self.make_config(tmp_path, population={**self.POPULATION, "sigma": 1e300})
+        out_dir = tmp_path / "out" / "deep"
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 2 and err.startswith("computation failed:")
+        left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        assert left == ["config.json", *existing]
+
     @pytest.mark.parametrize("population", ["", 5, ["model"]], ids=repr)
     def test_non_object_population_exits_1(self, tmp_path, capsys, population):
         # one error line, not an AttributeError traceback

@@ -486,6 +486,16 @@ class TestSampleDraw:
         with pytest.raises(ParameterError, match="group totals"):
             SampleDraw(DesignKind.RHC, np.array([0, 1]), g_totals=np.array(g))
 
+    @pytest.mark.parametrize("indices, pi, message", [
+        (np.array([], dtype=int), np.array([]), "nonempty"),
+        (np.zeros((1, 1, 2), dtype=int), np.full((1, 1, 2), 0.5), "nonempty"),
+        (np.array([0, 1]), np.array([0.5, 0.5, 0.5]), "align"),
+        (np.array([[0, 1], [2, 3]]), np.array([0.5, 0.5]), "align"),
+    ], ids=["empty", "3-d", "long-pi", "one-row-pi"])
+    def test_rejects_malformed_indices_or_pi(self, indices, pi, message):
+        with pytest.raises(ParameterError, match=message):
+            SampleDraw(DesignKind.SRSWOR, indices, pi=pi)
+
     def test_rejects_negative_indices(self):
         # -1 would read the last unit, and [-1, 9] names unit 9 twice
         for idx in ([-1, 9], [3, -2, 5]):

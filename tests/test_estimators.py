@@ -77,6 +77,12 @@ class TestValidity:
         ):
             assert not valid_pair(kind, DesignKind.RHC)
 
+    @pytest.mark.parametrize("h", [np.ones(3), np.ones((3, 2)), np.ones((1, 2))], ids=repr)
+    def test_h_values_need_one_row_per_sampled_unit(self, pop4, h):
+        s = srswor_sample(pop4, [0, 1])
+        with pytest.raises(ParameterError, match="one row per sampled unit"):
+            estimate_mean(EstimatorKind.HT, s, pop4, h)
+
     def test_invalid_combination_raises(self, pop4):
         s = srswor_sample(pop4, [0, 1])
         with pytest.raises(CombinationError):
@@ -362,6 +368,15 @@ class TestPemlRows:
         with pytest.raises(InfeasibleError) as err:
             peml_weights(w, x, 2.5)
         assert err.value.row == 1
+
+    @pytest.mark.parametrize("w, x", [
+        (np.ones((2, 4)), np.ones(3)),
+        (np.ones((2, 4)), np.ones((3, 4))),
+        (np.ones((2, 2, 4)), np.ones(4)),
+    ], ids=["short-x", "x-rows", "3-d-w"])
+    def test_misaligned_weights_and_x_are_refused(self, w, x):
+        with pytest.raises(ParameterError, match="align"):
+            estimators._peml_solve(w, x, 2.5)
 
     def test_bad_weight_names_its_row(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])

@@ -48,12 +48,21 @@ class TestTransform:
             CORRELATION.h(np.array([1.0, 2.0]))
         with pytest.raises(ParameterError):
             MEAN.h(np.array([[1.0, 2.0]]))
+        # moment vectors of the wrong length, or moments stacked in 3-d
+        for f, s in ((VARIANCE, [5.0]), (MEAN, [[1.0, 2.0]]), (MEAN, np.ones((1, 1, 1)))):
+            with pytest.raises(ParameterError, match="length-"):
+                f.g(np.array(s))
 
     @pytest.mark.parametrize("of,on", [(True, False), (0.0, 1), (0, 1.0)], ids=repr)
     def test_regression_coordinates_are_integers(self, of, on):
         # {True, False} == {0, 1}, and 0.0 passed the set check only to fail
         # later inside numpy or as an IndexError
         with pytest.raises(ParameterError, match="must be an integer"):
+            regression_coef(of, on)
+
+    @pytest.mark.parametrize("of,on", [(0, 0), (1, 1), (0, 2), (2, 1)], ids=repr)
+    def test_regression_coordinates_are_0_and_1(self, of, on):
+        with pytest.raises(ParameterError, match="must be 0 and 1"):
             regression_coef(of, on)
 
     def test_numpy_integer_coordinates_are_integers(self):

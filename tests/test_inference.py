@@ -33,7 +33,7 @@ from finpop import (
 )
 from finpop import errors
 from finpop.estimators import _wls_slope, estimate_mean_rows
-from finpop.inference import supports_variance_estimate
+from finpop.inference import ConfidenceInterval, supports_variance_estimate
 from conftest import drop_unit, random_population, stack
 from test_estimators import srswor_sample
 
@@ -70,6 +70,13 @@ class TestConfidenceInterval:
             confidence_interval(0.0, 1.0, 10, 1.0)
         with pytest.raises(ParameterError):
             confidence_interval(0.0, -1.0, 10, 0.95)
+        with pytest.raises(ParameterError, match="n must be positive"):
+            confidence_interval(0.0, 1.0, 0, 0.95)
+        # an interval built directly is checked too
+        with pytest.raises(ParameterError, match="level"):
+            ConfidenceInterval(center=0.0, half_width=1.0, level=0.0)
+        with pytest.raises(ParameterError, match="half width"):
+            ConfidenceInterval(center=np.zeros(2), half_width=np.array([1.0, -1.0]), level=0.9)
 
 
 class TestSampleBatches:

@@ -96,7 +96,7 @@ def test_batched_seeding_is_the_seed_sequence_stream():
     rng = np.random.default_rng(2024)
     checked = 0
     for k in range(60):
-        bound = 2**40 if k % 4 == 0 else 2**32  # every fourth case falls back
+        bound = 2**40 if k % 4 == 0 else 2**32  # every fourth case has words past the fourth
         seed = int(rng.integers(0, bound))
         sizes = [int(v) for v in rng.integers(2, bound, size=rng.integers(1, 3))]
         kinds = list(rng.permutation(list(DesignKind))[: rng.integers(1, 5)])
@@ -120,6 +120,14 @@ def test_batched_seeding_is_the_seed_sequence_stream():
         state = _replicate_states(seed, [n], [DesignKind.RHC], 2)[0, 0, 1]
         reference = _replicate_rng(seed, n, DesignKind.RHC, 1)
         assert np.random.PCG64(_State(state)).state == reference.bit_generator.state
+    # sizes of one and two words in one call, under seeds of one, two and three words
+    sizes = [7, 2**32 + 3, 2**32 - 1, 2**40]
+    kinds = [DesignKind.LMS, DesignKind.SRSWOR, DesignKind.RHC]
+    for seed in (0, 2**32, 2**64 + 7):
+        states = _replicate_states(seed, sizes, kinds, 3)
+        for (i, n), (j, design), r in product(enumerate(sizes), enumerate(kinds), range(3)):
+            reference = _replicate_rng(seed, n, design, r)
+            assert np.random.PCG64(_State(states[i, j, r])).state == reference.bit_generator.state
 
 
 class TestRunExperiment:
@@ -363,7 +371,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("field,value", [
         ("sample_sizes", "75"), ("sample_sizes", (5.0,)), ("replicates", 2.5),
         ("replicates", True), ("seed", "1"), ("jackknife", "false"), ("jackknife", 1),
-        ("baseline", True), ("ci_level", "0.9"), ("ci_level", True),
+        ("baseline", True), ("baseline", 1), ("baseline", -1), ("ci_level", "0.9"),
+        ("ci_level", True),
     ], ids=repr)
     def test_config_values_are_checked_not_coerced(self, field, value):
         values = dict(sample_sizes=(5,), replicates=10, seed=1, jackknife=False, baseline=0)
@@ -372,6 +381,12 @@ class TestRunExperiment:
             ExperimentConfig(
                 population=small_pop(),
                 cells=(mean_cell(DesignKind.SRSWOR, EstimatorKind.HAJEK),), **values
+            )
+
+    def test_at_least_one_cell_is_required(self):
+        with pytest.raises(ParameterError, match="at least one cell"):
+            ExperimentConfig(
+                population=small_pop(), cells=(), sample_sizes=(5,), replicates=10, seed=1
             )
 
     def test_numpy_integers_are_integers(self):
@@ -517,8 +532,9 @@ class TestBatchedReplicates:
             peml = at10[(DesignKind.SRSWOR, EstimatorKind.PEML, MEAN)]
             assert 0 < peml.bc_failures < self.REPLICATES
 
-    @pytest.mark.parametrize("jackknife", [False, True])
-    def test_correlation_and_regression_cells(self, jackknife):
+    @pytest.mark.parametrize("jackknife, seed", [(False, 32), (True, 32), (True, 2**32)],
+                             ids=["False", "True", "True-seed-2**32"])
+    def test_correlation_and_regression_cells(self, jackknife, seed):
         pop = generate_bivariate(default_bivariate_spec(), 2000, seed=6)
         cells = tuple(
             Cell(design, kind, f)
@@ -529,7 +545,7 @@ class TestBatchedReplicates:
         )
         cfg = ExperimentConfig(
             population=pop, cells=cells, sample_sizes=self.SIZES,
-            replicates=self.REPLICATES, seed=32, jackknife=jackknife,
+            replicates=self.REPLICATES, seed=seed, jackknife=jackknife,
         )
         self.check(cfg)
 
@@ -548,6 +564,11 @@ def test_summary_marks_flagged_cells_and_prints_bc_mse():
     flagged, plain = report.summary().splitlines()[3:]
     assert flagged.endswith("fail=6 FLAGGED bc_mse=0.25")
     assert plain.endswith("fail=5")
+    # a lookup the report does not hold names the cell and the size
+    with pytest.raises(KeyError, match="ht/srswor/mean at n=6"):
+        report.result_for(common["cell"], 6)
+    with pytest.raises(KeyError, match="ht/srswor/mean vs ht/srswor/mean at n=5"):
+        report.re_for(common["cell"], common["cell"], 5)
 
 
 def test_every_validated_config_runs_to_the_end():

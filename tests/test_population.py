@@ -37,6 +37,12 @@ class TestPopulationInvariants:
             Population(x=np.array([1.0, 2.0]), y=np.zeros((3, 1)))
         with pytest.raises(ParameterError):
             Population(x=np.array([1.0, np.inf]), y=np.zeros(2))
+        with pytest.raises(ParameterError, match="1-d"):
+            Population(x=np.ones((2, 2)), y=np.zeros(2))
+        with pytest.raises(ParameterError, match="1-d"):
+            Population(x=np.ones(2), y=np.zeros((2, 1, 1)))
+        with pytest.raises(ParameterError, match="study coordinate"):
+            Population(x=np.ones(2), y=np.zeros((2, 0)))
 
     def test_arrays_are_read_only(self, pop4):
         with pytest.raises(ValueError):
@@ -105,6 +111,9 @@ class TestGeneration:
             LinearModelSpec(gamma_sd=-5.0)
         with pytest.raises(ParameterError):
             LinearModelSpec(alpha=(1.0, 2.0), beta=(1.0, 2.0, 3.0))
+        for value in ([[1.0, 2.0]], []):
+            with pytest.raises(ParameterError, match="scalar or flat sequence"):
+                LinearModelSpec(alpha=value)
         with pytest.raises(ParameterError):
             generate_univariate(default_univariate_spec(), 1, seed=0)
         with pytest.raises(ParameterError):
